@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -336,6 +336,16 @@ def tangent_cone(cset: ConstraintSet, x) -> PolyhedralCone:
 # ---------------------------------------------------------------------------
 
 
+class SectorPosition(NamedTuple):
+    """Where a point (e, u) lies relative to a sector; see Sector.classify."""
+
+    in_k: bool
+    in_minus_k: bool
+    label: str  # 'interior', 'K', 'minusK', 'corner' or 'outside'
+    lower: bool  # u = k1 e tight under the row-scaled activation test
+    upper: bool  # u = k2 e tight under the row-scaled activation test
+
+
 @dataclass(frozen=True)
 class Sector:
     """The set {(e,u) : (u - k1 e)(u - k2 e) <= 0} with k1 < k2.
@@ -372,64 +382,80 @@ class Sector:
     def cone_minus_k(self) -> PolyhedralCone:
         return PolyhedralCone(dim=2, rows=np.array([[self.k1, -1.0], [-self.k2, 1.0]]))
 
-    def _branch_tol(self, s) -> float:
-        s = _as_vector(s, 2)
-        scale = 1.0 + max(abs(self.k1), abs(self.k2))
-        return EPS_MEM * (1.0 + float(np.linalg.norm(s))) * scale
+    def classify(self, e: float, u: float) -> SectorPosition:
+        """Classify the point (e, u) in plain floats.
+
+        The line slacks a = u - k1 e and b = k2 e - u are both >= 0 on K and
+        both <= 0 on -K.  Branch membership and the label test them against
+        the membership tolerance EPS_MEM (1 + |s|)(1 + max|k|), which is
+        linear in the point and hence better conditioned far from the origin
+        than the product inequality.  The tight-line flags use the
+        row-scaled activation test of the tangent cone, |slack_i| <=
+        EPS_ACT (1 + |row_i| |s|) with row_i = +-(-k_i, 1); it is never
+        looser than the membership test, so two tight lines imply the corner.
+        """
+        k1, k2 = self.k1, self.k2
+        a = u - k1 * e
+        b = k2 * e - u
+        norm = math.hypot(e, u)
+        tol = EPS_MEM * (1.0 + norm) * (1.0 + max(abs(k1), abs(k2)))
+        in_k = a >= -tol and b >= -tol
+        in_minus_k = a <= tol and b <= tol
+        if in_k and in_minus_k:
+            label = "corner"  # K and -K meet only at the origin
+        elif not (in_k or in_minus_k):
+            label = "outside"
+        elif abs(a) > tol and abs(b) > tol:
+            label = "interior"
+        else:
+            label = "K" if in_k else "minusK"
+        lower = abs(a) <= EPS_ACT * (1.0 + math.hypot(k1, 1.0) * norm)
+        upper = abs(b) <= EPS_ACT * (1.0 + math.hypot(k2, 1.0) * norm)
+        return SectorPosition(in_k, in_minus_k, label, lower, upper)
+
+    def _classify(self, s) -> SectorPosition:
+        return self.classify(*_as_vector(s, 2).tolist())
 
     def in_k(self, s) -> bool:
-        tol = self._branch_tol(s)
-        return bool(np.all(self.cone_k().rows @ _as_vector(s, 2) >= -tol))
+        return self._classify(s).in_k
 
     def in_minus_k(self, s) -> bool:
-        tol = self._branch_tol(s)
-        return bool(np.all(self.cone_minus_k().rows @ _as_vector(s, 2) >= -tol))
+        return self._classify(s).in_minus_k
 
     def contains(self, s) -> bool:
-        # Branch-cone test: equivalent to the product inequality but linear
-        # in the point, hence better conditioned far from the origin.
-        return self.in_k(s) or self.in_minus_k(s)
+        return self._classify(s).label != "outside"
 
     def is_corner(self, s) -> bool:
-        """K and -K meet only at the origin."""
-        return self.in_k(s) and self.in_minus_k(s)
+        return self._classify(s).label == "corner"
 
     def active_lines(self, s) -> tuple[bool, bool]:
         """(lower tight, upper tight): which of u = k1 e, u = k2 e hold at s."""
-        e, u = _as_vector(s, 2)
-        tol = EPS_ACT * (1.0 + float(np.linalg.norm((e, u)))) * (
-            1.0 + max(abs(self.k1), abs(self.k2))
-        )
-        return (abs(u - self.k1 * e) <= tol, abs(u - self.k2 * e) <= tol)
+        pos = self._classify(s)
+        return pos.lower, pos.upper
 
     def branch_label(self, s) -> str:
         """One of 'interior', 'K', 'minusK', 'corner' (position-based)."""
-        if not self.contains(s):
+        label = self._classify(s).label
+        if label == "outside":
             raise NotInSet(f"{_as_vector(s, 2).tolist()} is outside the sector")
-        if self.is_corner(s):
-            return "corner"
-        lo, hi = self.active_lines(s)
-        if not (lo or hi):
-            return "interior"
-        return "K" if self.in_k(s) else "minusK"
+        return label
 
 
 def sector_tangent_cone(sec: Sector, s) -> PolyhedralCone:
     """Tangent cone of the sector at s.
 
     T_K(s) on K minus -K, the mirrored cone on -K minus K, and the full
-    non-convex union K u -K (tagged, convex=False) at the origin.
+    non-convex union K u -K (tagged, convex=False) at the origin.  The rows
+    kept are the lines that Sector.classify flags as tight.
     """
     s = _as_vector(s, 2)
-    if not sec.contains(s):
+    pos = sec.classify(*s.tolist())
+    if pos.label == "outside":
         raise NotInSet(f"{s.tolist()} is outside the sector")
-    if sec.is_corner(s):
+    if pos.label == "corner":
         return cone_union(sec.cone_k(), sec.cone_minus_k())
-    branch = sec.cone_k() if sec.in_k(s) else sec.cone_minus_k()
-    slack = branch.rows @ s
-    scale = 1.0 + np.linalg.norm(branch.rows, axis=1) * float(np.linalg.norm(s))
-    active = np.flatnonzero(np.abs(slack) <= EPS_ACT * scale)
-    return PolyhedralCone(dim=2, rows=branch.rows[active])
+    branch = sec.cone_k() if pos.in_k else sec.cone_minus_k()
+    return PolyhedralCone(dim=2, rows=branch.rows[[pos.lower, pos.upper]])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,13 @@ linear, the projected field differs from the unprojected one in the single
 coordinate z1, computed by a two-dimensional projection of (edot, fc1) in
 the (e, u)-plane; everything else, including the e-dynamics, passes through
 untouched.
+
+That projection has a closed form: the z1-rate is fc1 clamped into the
+interval that the tight sector lines impose (k1*edot and/or k2*edot, oriented
+by the branch), and at the corner the clamp over whichever branch admits
+edot.  ``closed_loop_rhs`` evaluates it in plain floats; the general KKT
+projection (``projection.project_partial``) and the brute-force oracle are
+kept as its references, not on the simulation path.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from .errors import NotInSet, ZeroOutputRow
 from .geometry import Sector, _as_vector, _readonly
-from .projection import ProjectionSubspace, sector_project
+from .projection import ProjectionSubspace, sector_project, vstar_selector
 
 
 @dataclass(frozen=True)
@@ -150,24 +157,41 @@ def closed_loop_rhs(sys: ClosedLoopSystem, xi, w: float = 0.0) -> RhsEval:
     projects it into the sector tangent cone along the vertical direction,
     and replaces only the z1-rate by the result.  Plant components and the
     remaining controller components pass through unchanged.
+
+    Off the corner the projection is the closed-form clamp of fc1 into the
+    interval set by the tight sector lines (``vstar_selector``), with the
+    point classified once by ``Sector.classify``.  At the corner it is
+    ``sector_project``'s closed form over both branches.  The KKT path
+    (``sector_project`` off the corner, via ``project_partial``) and
+    ``oracle_project`` are its references in the tests.
     """
     xi = _as_vector(xi, sys.dim)
     eu = sys.output_pair(xi)
-    if not sys.sector.contains(eu):
+    e, u = eu.tolist()
+    sec = sys.sector
+    pos = sec.classify(e, u)
+    if pos.label == "outside":
         raise NotInSet(f"output pair {eu.tolist()} is outside the sector")
     x, z = sys.split(xi)
     fp = _as_vector(sys.plant.f_p(x, float(z[0]), float(w)), sys.n)
-    fc = _as_vector(sys.controller.f_c(z, float(eu[0])), sys.m)
+    fc = _as_vector(sys.controller.f_c(z, e), sys.m)
     edot = float(sys.plant.gp @ fp)
-    proj = sector_project(sys.sector, eu, np.array([edot, fc[0]]))
-    vstar = float(proj.w[1])
+    fc1 = float(fc[0])
+    if pos.label == "corner":
+        proj = sector_project(sec, eu, np.array([edot, fc1]))
+        vstar, correction = float(proj.w[1]), proj.correction_norm
+    else:
+        # Off the corner at most one line is tight (two would be the corner).
+        active = "lower" if pos.lower else "upper" if pos.upper else "none"
+        vstar = vstar_selector(sec, edot, fc1, active, "K" if pos.in_k else "minusK")
+        correction = abs(vstar - fc1)
     field = np.concatenate([fp, [vstar], fc[1:]])
     return RhsEval(
         field=field,
         edot=edot,
         vstar=vstar,
-        branch=sys.sector.branch_label(eu),
-        correction_norm=proj.correction_norm,
+        branch=pos.label,
+        correction_norm=correction,
     )
 
 

@@ -31,7 +31,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import BranchContradiction, Infeasible, DegenerateKKT, NotInSet, RankDeficient
-from .geometry import PolyhedralCone, Sector, _as_vector, _readonly
+from .geometry import PolyhedralCone, Sector, _as_vector, _readonly, sector_tangent_cone
 
 # Sign tolerance for KKT multipliers.
 EPS_DUAL = 1e-10
@@ -258,22 +258,20 @@ def sector_project(sec: Sector, s, w) -> ProjectionResult:
     """Projection of (edot, udot-candidate) into the sector tangent cone.
 
     On convex strata this delegates to project_partial on the local branch
-    cone.  At the origin both branch intervals are solved in closed form;
-    empty branches are discarded, and when both survive their optima are
-    asserted equal before returning.
+    cone; that KKT path is the reference for the closed-form field of
+    ``pbc.closed_loop_rhs``.  At the origin both branch intervals are solved
+    in closed form; empty branches are discarded, and when both survive
+    their optima are asserted equal before returning.
     """
     s = _as_vector(s, 2)
     w = _as_vector(w, 2)
-    if not sec.contains(s):
+    pos = sec.classify(*s.tolist())
+    if pos.label == "outside":
         raise NotInSet(f"{s.tolist()} is outside the sector")
-    E2 = sector_subspace()
 
-    if not sec.is_corner(s):
-        from .geometry import sector_tangent_cone
-
-        cone = sector_tangent_cone(sec, s)
-        res = project_partial(cone, E2, w)
-        return replace(res, branch="K" if sec.in_k(s) else "minusK")
+    if pos.label != "corner":
+        res = project_partial(sector_tangent_cone(sec, s), sector_subspace(), w)
+        return replace(res, branch="K" if pos.in_k else "minusK")
 
     edot, udot = float(w[0]), float(w[1])
     ok_k, u_k = _corner_branch_clamp(sec, edot, udot, "K")

@@ -4,8 +4,7 @@ Explicit Euler on the projected field is the reference scheme: the field is
 discontinuous at the sector boundary, so classical high-order error theory
 does not apply, and first-order stepping with drift correction is honest
 and testable.  Steps land exactly on input breakpoints, so integration
-restarts cleanly segment by segment.  A midpoint variant exists behind an
-option and carries no accuracy claim.
+restarts cleanly segment by segment.
 
 Each trace row stores the raw state produced by the step together with its
 sector residual; when that state drifts out of the sector by more than the
@@ -237,6 +236,7 @@ class Trace:
         }
 
     def to_csv(self, path) -> None:
+        """Write one row per step; floats in %.17g, so they round-trip exactly."""
         dim = self.xi.shape[1]
         header = (
             ["t"]
@@ -252,25 +252,18 @@ class Trace:
                 "drift_corrected",
             ]
         )
-        fmt = lambda x: f"{x:.17g}"
+        numeric = np.column_stack(
+            [self.t, self.xi, self.e, self.u, self.edot, self.vstar,
+             self.correction_norm, self.sector_residual]
+        ).tolist()
+        lead = dim + 5  # t, xi, e, u, edot, vstar: the columns before branch
+        row = ",".join(["%.17g"] * lead) + ",%s,%.17g,%.17g,%s\n"
+        body = "".join(
+            row % (*r[:lead], b, r[lead], r[lead + 1], "1" if d else "0")
+            for r, b, d in zip(numeric, self.branch, self.drift_corrected.tolist())
+        )
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for k in range(self.n_rows):
-                row = (
-                    [fmt(self.t[k])]
-                    + [fmt(v) for v in self.xi[k]]
-                    + [
-                        fmt(self.e[k]),
-                        fmt(self.u[k]),
-                        fmt(self.edot[k]),
-                        fmt(self.vstar[k]),
-                        self.branch[k],
-                        fmt(self.correction_norm[k]),
-                        fmt(self.sector_residual[k]),
-                        "1" if self.drift_corrected[k] else "0",
-                    ]
-                )
-                fh.write(",".join(row) + "\n")
+            fh.write(",".join(header) + "\n" + body)
 
 
 class _Recorder:
@@ -306,11 +299,8 @@ class _Recorder:
 @dataclass(frozen=True)
 class IntegrateOptions:
     blowup_bound: float = DEFAULT_BLOWUP
-    method: str = "euler"  # or "midpoint" (no accuracy claim)
 
     def __post_init__(self):
-        if self.method not in ("euler", "midpoint"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.blowup_bound <= 0:
             raise ValueError("blowup_bound must be positive")
 
@@ -323,14 +313,14 @@ def drift_correct(sys: ClosedLoopSystem, xi) -> tuple[np.ndarray, bool]:
     states are never touched.
     """
     xi = _as_vector(xi, sys.dim)
-    eu = sys.output_pair(xi)
-    if sys.sector.contains(eu):
+    e, u = sys.output_pair(xi).tolist()
+    sec = sys.sector
+    if sec.classify(e, u).label != "outside":
         return xi, False
-    e = float(eu[0])
-    lo = min(sys.sector.k1 * e, sys.sector.k2 * e)
-    hi = max(sys.sector.k1 * e, sys.sector.k2 * e)
+    lo = min(sec.k1 * e, sec.k2 * e)
+    hi = max(sec.k1 * e, sec.k2 * e)
     out = xi.copy()
-    out[sys.n] = min(max(float(eu[1]), lo), hi)
+    out[sys.n] = min(max(u, lo), hi)
     return out, True
 
 
@@ -393,14 +383,7 @@ def _run(
         w = eval_input(signal, clock if embed_time else t)
         r = closed_loop_rhs(sys, stepped, w)
         record(t, raw, r, was_corrected)
-        if opts.method == "midpoint":
-            mid_raw = stepped + (0.5 * dt) * r.field
-            mid, _ = drift_correct(sys, mid_raw)
-            w_mid = eval_input(signal, min(t + 0.5 * dt, T))
-            field = closed_loop_rhs(sys, mid, w_mid).field
-        else:
-            field = r.field
-        raw = stepped + dt * field
+        raw = stepped + dt * r.field
         if embed_time:
             # The unit clock integrates exactly under Euler; assigning the
             # scheduled landing removes 1-ulp drift so both integrators

@@ -25,6 +25,7 @@ from epds import (
     tangent_cone,
     user_constraint,
 )
+from epds.geometry import EPS_MEM
 from conftest import orthant, unit_disk
 
 
@@ -155,6 +156,24 @@ def test_sector_decomposition_sampling(rng):
 def test_sector_structural_invariants_hold_for_all_slopes(k1, width):
     sec = Sector(k1, k1 + width)  # construction asserts the two structure facts
     assert sec.contains((1.0, sec.k1))
+
+
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(1e-3, 4.0),
+    st.floats(-1e4, 1e4),
+    st.floats(-20.0, 20.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_classify_membership_matches_product_test(k1, width, e, slope):
+    sec = Sector(k1, k1 + width)
+    u = slope * e
+    pos = sec.classify(e, u)
+    a, b = u - sec.k1 * e, sec.k2 * e - u
+    band = EPS_MEM * (1.0 + np.hypot(e, u)) * (1.0 + max(abs(sec.k1), abs(sec.k2)))
+    if min(abs(a), abs(b)) > band:
+        member = (u - sec.k1 * e) * (u - sec.k2 * e) <= 0.0
+        assert pos.label == ("interior" if member else "outside")
 
 
 def test_sector_tangent_cone_cases():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epds import (
     Controller,
@@ -14,8 +16,10 @@ from epds import (
     higs_preset,
     lifted_tangent_cone,
     oracle_project,
+    sector_project,
     sector_tangent_cone,
 )
+from epds.geometry import EPS_MEM
 from conftest import make_higs_benchmark
 
 
@@ -147,3 +151,53 @@ def test_growth_check_superlinear_negative_control():
     rep = growth_check(sys, M=0.5, samples=300, seed=1)
     assert len(rep.violations) > 0
     assert rep.violations[0]["f_norm"] > rep.violations[0]["bound"]
+
+
+@given(
+    k1=st.floats(-3.0, 3.0),
+    width=st.floats(1e-3, 4.0),
+    log_e=st.floats(-6.0, 4.0),
+    negative=st.booleans(),
+    place=st.sampled_from(["lower", "upper", "near_lower", "near_upper", "inside", "origin"]),
+    frac=st.floats(-2.0, 2.0),
+    edot=st.floats(-1e3, 1e3),
+    fc1=st.floats(-1e3, 1e3),
+)
+@settings(max_examples=400, deadline=None)
+def test_closed_form_rhs_matches_kkt_projection(k1, width, log_e, negative, place, frac, edot, fc1):
+    # Fast path (closed_loop_rhs) against the reference (sector_project, which
+    # solves the KKT systems off the corner) through a 1-state plant x' = edot,
+    # e = x, and a 1-state controller z' = fc1, u = z.
+    sec = Sector(k1, k1 + width)
+    e = (-1.0 if negative else 1.0) * 10.0**log_e
+    slope = {"lower": sec.k1, "near_lower": sec.k1, "upper": sec.k2, "near_upper": sec.k2}
+    if place == "origin":
+        e = u = 0.0
+    elif place == "inside":
+        u = (sec.k1 + (0.05 + 0.9 * abs(frac) / 2.0) * width) * e
+    else:
+        u = slope[place] * e
+        if place.startswith("near"):
+            tol = EPS_MEM * (1.0 + np.hypot(e, u)) * (1.0 + max(abs(sec.k1), abs(sec.k2)))
+            u += frac * tol
+    plant = Plant(n=1, f_p=lambda x, u_, w: np.array([edot]), gp=np.array([1.0]))
+    ctrl = Controller(m=1, f_c=lambda z, e_: np.array([fc1]))
+    sys = build_closed_loop(plant, ctrl, sec)
+    if not sec.contains((e, u)):
+        with pytest.raises(NotInSet):
+            closed_loop_rhs(sys, np.array([e, u]))
+        with pytest.raises(NotInSet):
+            sector_project(sec, (e, u), (edot, fc1))
+        return
+    fast = closed_loop_rhs(sys, np.array([e, u]))
+    ref = sector_project(sec, (e, u), (edot, fc1))
+    tol = 1e-12 * (1.0 + abs(fc1) + max(abs(sec.k1), abs(sec.k2)) * abs(edot))
+    if ref.correction_norm == 0.0 < fast.correction_norm:
+        # project_partial accepts a row violation up to its primal slack
+        # 1e-9 (1 + |g| + |G|), here |G| = 1 and |g| = the violation, and
+        # then returns v uncorrected; the clamp corrects it exactly.
+        assert fast.correction_norm <= 1e-9 * (2.0 + fast.correction_norm)
+    else:
+        assert abs(fast.vstar - float(ref.w[1])) <= tol
+        assert abs(fast.correction_norm - ref.correction_norm) <= tol
+    assert fast.field[0] == edot and fast.field[1] == fast.vstar

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,8 @@ from epds import (
     integrate,
     integrate_time_embedded,
 )
+import epds.projection
+from epds.scenario import build_runtime, scenario_from_json
 from epds.sim import ConstantSegment, PolynomialSegment, RampSegment, SinusoidSegment
 from conftest import make_higs_benchmark
 
@@ -210,17 +215,40 @@ def test_trace_csv_format(tmp_path, higs_system):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[8] in ("interior", "K", "minusK", "corner")
-    # 17-significant-digit round trip
-    assert float(lines[2].split(",")[1]) == tr.xi[1, 0]
+    # every numeric column round-trips bitwise (17 significant digits)
+    cells = [line.split(",") for line in lines[1:]]
+    cols = list(zip(*cells))
+    numeric = {0: tr.t, 4: tr.e, 5: tr.u, 6: tr.edot, 7: tr.vstar, 9: tr.correction_norm,
+               10: tr.sector_residual}
+    numeric.update({1 + i: tr.xi[:, i] for i in range(3)})
+    for col, want in numeric.items():
+        got = np.array([float(v) for v in cols[col]])
+        assert got.tobytes() == want.tobytes(), col
+    assert cols[8] == tr.branch
+    assert cols[11] == tuple("1" if d else "0" for d in tr.drift_corrected)
 
 
-def test_midpoint_option_runs(higs_system):
-    tr = integrate(
-        higs_system,
-        np.array([1.0, 0.0, -0.5]),
-        InputSignal.constant(0.0),
-        T=0.5,
-        h=0.01,
-        opts=IntegrateOptions(method="midpoint"),
-    )
-    assert tr.n_rows == 51
+def test_simulator_stays_off_the_kkt_and_lp_paths(monkeypatch):
+    # The shipped scenarios must run on the closed-form field alone: with
+    # the general projection and the LP disabled they complete unchanged.
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    bundles = [
+        build_runtime(scenario_from_json(json.loads((root / f"{name}.json").read_text())))
+        for name in ("higs_benchmark", "tracking_benchmark")
+    ]
+
+    def run(b):
+        return integrate(b.system, b.xi0, b.signal, b.horizon, b.step)
+
+    reference = [run(b) for b in bundles]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the simulator reached the KKT/LP projection path")
+
+    monkeypatch.setattr(epds.projection, "project_partial", forbidden)
+    monkeypatch.setattr(epds.projection, "feasible", forbidden)
+    for b, ref in zip(bundles, reference):
+        tr = run(b)
+        for name in ("t", "xi", "vstar", "correction_norm", "drift_corrected"):
+            assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert tr.branch == ref.branch
