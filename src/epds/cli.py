@@ -118,7 +118,8 @@ def cmd_verify_krasovskii(args) -> int:
     report = verify_krasovskii(count=args.count, seed=args.seed)
     print(json.dumps(report, indent=2))
     clean = (
-        report["finite_failures"] == 0
+        report["finite_cases"] == args.count
+        and report["finite_failures"] == 0
         and report["grid_disagreements"] == 0
         and report["sector_pattern_mismatches"] == 0
     )

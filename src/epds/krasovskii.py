@@ -236,17 +236,23 @@ class VerificationReport:
 
 @lru_cache(maxsize=64)
 def _compositions(total: int, k: int) -> np.ndarray:
-    """All k-tuples of nonnegative integers summing to total."""
-    if k == 1:
-        out = np.array([[total]], dtype=np.int64)
-    else:
-        blocks = []
-        for first in range(total + 1):
-            rest = _compositions(total - first, k - 1)
-            blocks.append(
-                np.column_stack([np.full(len(rest), first, dtype=np.int64), rest])
-            )
-        out = np.vstack(blocks)
+    """All k-tuples of nonnegative integers summing to total, in
+    lexicographic order.
+
+    Stars and bars: the k - 1 bars sit at increasing positions among
+    total + k - 1 slots, and each part is the gap between neighbouring bars
+    (with bars at -1 and total + k - 1 closing the ends).  Lexicographic bar
+    positions give lexicographic parts.  Nothing recurses into the cache,
+    so it holds one grid per (total, k) pair in use.
+    """
+    slots = total + k - 1
+    n_rows = math.comb(slots, k - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), k - 1)),
+        dtype=np.int64,
+        count=n_rows * (k - 1),
+    ).reshape(n_rows, k - 1)
+    out = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
     out.flags.writeable = False
     return out
 

@@ -109,38 +109,69 @@ def _cone_matrices(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray):
     return G, g
 
 
+def _phase1_rows(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray):
+    """Rows Gn eta >= gn of the cone along v + Im E, each (Gn_i, gn_i)
+    scaled to unit norm so the slack threshold is scale-free."""
+    G, g = _cone_matrices(cone, E, v)
+    norms = np.maximum(np.linalg.norm(np.column_stack([G, g]), axis=1), 1e-30)
+    return G / norms[:, None], g / norms
+
+
+def _phase1_lp(Gn: np.ndarray, gn: np.ndarray) -> float:
+    """Least slack t >= 0 with Gn eta + t >= gn, by HiGHS; inf on failure."""
+    n_e = Gn.shape[1]
+    c = np.zeros(n_e + 1)
+    c[-1] = 1.0
+    res = scipy.optimize.linprog(
+        c,
+        A_ub=np.column_stack([-Gn, -np.ones(len(gn))]),
+        b_ub=-gn,
+        bounds=[(None, None)] * n_e + [(0, None)],
+        method="highs",
+    )
+    return float(res.x[-1]) if res.success else np.inf
+
+
+def _phase1_scalar(a: list[float], c: list[float]) -> float:
+    """Exact least slack t >= 0 with a_i eta + t >= c_i for a scalar eta.
+
+    A row with a_i = 0 needs t >= c_i.  Otherwise t >= max_i (c_i - a_i eta)
+    is a maximum of lines in eta; its minimum is unbounded below unless
+    slopes of both signs occur, and then it sits where a falling line
+    (a_i > 0) meets a rising one (a_j < 0), at the largest such crossing
+    value (c_i |a_j| + c_j a_i) / (a_i + |a_j|).
+    """
+    t = 0.0
+    for ai, ci in zip(a, c):
+        if ai == 0.0:
+            t = max(t, ci)
+        elif ai > 0.0:
+            for aj, cj in zip(a, c):
+                if aj < 0.0:
+                    t = max(t, (ci * -aj + cj * ai) / (ai - aj))
+    return t
+
+
 def feasible(cone: PolyhedralCone, E: ProjectionSubspace, v) -> bool:
-    """Whether the cone meets v + Im E, by a phase-1 linear feasibility solve.
+    """Whether the cone meets v + Im E, by a phase-1 feasibility problem.
 
     Minimizes a single slack t with A(v + E eta) + t >= 0, t >= 0; the
     intersection is nonempty exactly when the optimal t is (numerically)
-    zero.  Union cones are out of contract here; the sector path handles
-    them branch by branch.
+    zero.  For n_E = 1 the optimum has a closed form; larger subspaces
+    solve the LP.  Union cones are out of contract here; the sector path
+    handles them branch by branch.
     """
     if not cone.convex:
         raise ValueError("feasible() expects a convex cone")
     v = _as_vector(v, cone.dim)
     if cone.n_rows == 0:
         return True
-    G, g = _cone_matrices(cone, E, v)
-    # Unit-normalize rows so the slack threshold is scale-free.
-    norms = np.maximum(np.linalg.norm(np.column_stack([G, g]), axis=1), 1e-30)
-    Gn = G / norms[:, None]
-    gn = g / norms
-    n_e = E.n_e
-    c = np.zeros(n_e + 1)
-    c[-1] = 1.0
-    A_ub = np.column_stack([-Gn, -np.ones(len(gn))])
-    res = scipy.optimize.linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=-gn,
-        bounds=[(None, None)] * n_e + [(0, None)],
-        method="highs",
-    )
-    if not res.success:
-        return False
-    return bool(res.x[-1] <= 1e-9)
+    Gn, gn = _phase1_rows(cone, E, v)
+    if E.n_e == 1:
+        t = _phase1_scalar(Gn[:, 0].tolist(), gn.tolist())
+    else:
+        t = _phase1_lp(Gn, gn)
+    return bool(t <= 1e-9)
 
 
 def _enumerate_kkt(G: np.ndarray, g: np.ndarray, Q2: np.ndarray):

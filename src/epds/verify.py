@@ -7,6 +7,8 @@ ready for JSON serialization.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .errors import BranchContradiction, NoFeasiblePoint
@@ -112,8 +114,10 @@ def verify_projection(
     Feasible random instances are compared in |w|; infeasible draws are
     skipped and counted.  Each instance must also produce exactly one
     distinct optimum among passing KKT subsets, and random sector-origin
-    projections must never raise a branch contradiction.
+    projections must never raise a branch contradiction.  ``elapsed_s``
+    and ``instances_per_s`` time the whole suite, both parts counted.
     """
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     skipped = 0
     skipped_ill_posed = 0
@@ -164,6 +168,7 @@ def verify_projection(
         except BranchContradiction:
             branch_contradictions += 1
 
+    elapsed = time.perf_counter() - t0
     return {
         "cases": cases,
         "skipped_infeasible": skipped,
@@ -176,6 +181,8 @@ def verify_projection(
         "branch_contradictions": branch_contradictions,
         "worst_case": worst,
         "seed": seed,
+        "elapsed_s": elapsed,
+        "instances_per_s": (cases + sector_origin_count) / elapsed,
     }
 
 
@@ -228,7 +235,12 @@ def verify_krasovskii(
     equality at every non-corner boundary point and at the corner with zero
     e-velocity, and failure at the corner whenever the e-velocity is
     nonzero (the hull then covers a whole admissible-velocity segment).
+
+    Regular instances are drawn until ``count`` are feasible or 50 * count
+    draws are spent; a sweep cut short by that cap reports fewer
+    ``finite_cases`` than ``count``, which the CLI treats as a failure.
     """
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     finite_cases = 0
     finite_failures = 0
@@ -292,6 +304,7 @@ def verify_krasovskii(
         if rep.holds != expected:
             pattern_mismatches += 1
 
+    elapsed = time.perf_counter() - t0
     return {
         "finite_cases": finite_cases,
         "finite_failures": finite_failures,
@@ -303,4 +316,6 @@ def verify_krasovskii(
         "sector_boundary_points": boundary_pts,
         "sector_pattern_mismatches": pattern_mismatches,
         "seed": seed,
+        "elapsed_s": elapsed,
+        "instances_per_s": (finite_cases + sector_cases) / elapsed,
     }

@@ -1,6 +1,9 @@
 import json
+import math
+from functools import lru_cache
 
 import numpy as np
+import pytest
 
 from epds import (
     ConstraintSet,
@@ -16,6 +19,7 @@ from epds import (
     tangent_cone,
     verify_equality,
 )
+from epds.krasovskii import _compositions
 from epds.projection import sector_subspace
 from conftest import orthant
 
@@ -185,3 +189,27 @@ def test_report_json_shape():
     assert doc["holds"] is False
     assert doc["point"] == [0.0, 0.0]
     assert len(doc["witnesses"]) > 0
+
+
+@lru_cache(maxsize=None)
+def _compositions_recursive(total, k):
+    """Reference grid: the first part ascending, the rest recursively."""
+    if k == 1:
+        return ((total,),)
+    return tuple(
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in _compositions_recursive(total - first, k - 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "total,k", [(t, k) for k in range(1, 6) for t in (0, 1, 2, 7, 50)] + [(100, 4)]
+)
+def test_compositions_closed_form_matches_recursion(total, k):
+    grid = _compositions(total, k)
+    assert grid.dtype == np.int64 and not grid.flags.writeable
+    assert grid.shape == (math.comb(total + k - 1, k - 1), k)
+    assert np.all(grid.sum(axis=1) == total)
+    assert np.array_equal(grid, np.array(_compositions_recursive(total, k), dtype=np.int64))
+    assert _compositions.cache_info().currsize >= 1

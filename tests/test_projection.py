@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from epds import (
     sector_tangent_cone,
     vstar_selector,
 )
+from epds.projection import _phase1_rows, _phase1_scalar
 from epds.verify import random_projection_instance
 
 
@@ -223,3 +225,62 @@ def test_singleton_property_random_instances(seed):
         return
     res = project_partial(cone, E, v)
     assert res.n_distinct_optima == 1
+
+
+@st.composite
+def scalar_phase1_instances(draw):
+    """Cones of 1-4 rows in R^2..R^4 with E = span{scale * e_n}, so a_i has
+    the sign of the last row entry.  That entry is exactly 0 (row orthogonal
+    to E) or at least 0.05 in magnitude, of one shared sign or of mixed
+    signs; |v| lies in [1e-6, 1e6]."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 4))
+    shared_sign = draw(st.sampled_from([None, 1.0, -1.0]))
+    rows = []
+    for _ in range(m):
+        head = draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1))
+        sign = shared_sign or draw(st.sampled_from([1.0, -1.0]))
+        rows.append(head + [sign * draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0)))])
+    direction = np.array(
+        draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).filter(
+                lambda d: np.linalg.norm(d) > 1e-3
+            )
+        )
+    )
+    v = direction / np.linalg.norm(direction) * 10.0 ** draw(st.floats(-6.0, 6.0))
+    basis = np.zeros((n, 1))
+    basis[-1, 0] = draw(st.floats(0.1, 10.0))
+    return PolyhedralCone(dim=n, rows=np.array(rows)), ProjectionSubspace(n, basis), v
+
+
+def _phase1_lp_reference(Gn, gn):
+    """Least slack t >= 0 with Gn eta + t >= gn, by HiGHS at feasibility
+    tolerance 1e-9.  At its default 1e-7 HiGHS is no reference for the
+    1e-9 threshold of ``feasible``."""
+    n_e = Gn.shape[1]
+    res = scipy.optimize.linprog(
+        np.eye(n_e + 1)[-1],
+        A_ub=np.column_stack([-Gn, -np.ones(len(gn))]),
+        b_ub=-gn,
+        bounds=[(None, None)] * n_e + [(0, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    assert res.success
+    return float(res.x[-1])
+
+
+@given(scalar_phase1_instances())
+@settings(max_examples=500, deadline=None)
+def test_scalar_feasibility_matches_phase1_lp(instance):
+    # The closed-form phase-1 optimum (n_E = 1) against HiGHS on the same
+    # unit-normalized rows.  Rows with 0 < |a_i| <= 1e-9 stay out: HiGHS
+    # drops such matrix entries.
+    cone, E, v = instance
+    Gn, gn = _phase1_rows(cone, E, v)
+    t_exact = _phase1_scalar(Gn[:, 0].tolist(), gn.tolist())
+    t_lp = _phase1_lp_reference(Gn, gn)
+    assert abs(t_exact - t_lp) <= 1e-9
+    if not 5e-10 <= t_exact <= 2e-9:
+        assert feasible(cone, E, v) == (t_lp <= 1e-9)

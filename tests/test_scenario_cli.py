@@ -168,19 +168,29 @@ def test_cmd_run_override_flags(tmp_path, capsys):
     assert captured["steps"] == 10
 
 
+def assert_throughput(out, instances):
+    assert out["elapsed_s"] > 0.0
+    assert out["instances_per_s"] == pytest.approx(instances / out["elapsed_s"])
+
+
 def test_cmd_verify_projection_small(capsys):
     rc = main(["verify-projection", "--count", "60", "--seed", "3"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["mismatches"] == 0
     assert out["max_discrepancy"] < 1e-6
+    assert_throughput(out, out["cases"] + out["sector_origin_cases"])
 
 
 def test_cmd_verify_projection_deterministic(capsys):
+    # Everything but the wall-clock timing repeats exactly.
     main(["verify-projection", "--count", "40", "--seed", "9"])
-    first = capsys.readouterr().out
+    first = json.loads(capsys.readouterr().out)
     main(["verify-projection", "--count", "40", "--seed", "9"])
-    second = capsys.readouterr().out
+    second = json.loads(capsys.readouterr().out)
+    for report in (first, second):
+        for key in ("elapsed_s", "instances_per_s"):
+            del report[key]
     assert first == second
 
 
@@ -188,8 +198,31 @@ def test_cmd_verify_krasovskii_small(capsys):
     rc = main(["verify-krasovskii", "--count", "40", "--seed", "4"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
+    assert out["finite_cases"] == 40
     assert out["finite_failures"] == 0
     assert out["sector_pattern_mismatches"] == 0
+    assert_throughput(out, out["finite_cases"] + out["sector_cases"])
+
+
+def test_cmd_verify_krasovskii_short_sweep_fails(monkeypatch, capsys):
+    # Every draw is infeasible (e1 >= 0 at the origin, f = -e1, corrections
+    # along e2 only), so the sweep hits its attempt cap with no finite case.
+    import epds.verify
+    from epds import ConstraintSet, ProjectionSubspace, affine_constraint
+
+    half = ConstraintSet(2, (affine_constraint([1.0, 0.0], 0.0),))
+    E = ProjectionSubspace.from_columns([[0.0, 1.0]])
+
+    def infeasible_instance(rng):
+        return half, np.zeros(2), E, np.array([-1.0, 0.0])
+
+    monkeypatch.setattr(epds.verify, "random_boundary_instance", infeasible_instance)
+    rc = main(["verify-krasovskii", "--count", "3", "--seed", "0"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["finite_cases"] == 0
+    assert out["finite_failures"] == out["grid_disagreements"] == 0
+    assert out["sector_pattern_mismatches"] == 0
+    assert rc == 1
 
 
 def test_cmd_sweep(tmp_path, capsys):
