@@ -74,14 +74,12 @@ from .scenario import Scenario, build_runtime, scenario_from_json
 from .sim import (
     ConvergenceReport,
     InputSignal,
-    IntegrateOptions,
     TimeEmbedded,
     Trace,
     convergence_study,
     drift_correct,
     eval_input,
     integrate,
-    integrate_time_embedded,
 )
 
 __version__ = "0.1.0"

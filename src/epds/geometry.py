@@ -300,13 +300,6 @@ class PolyhedralCone:
         scale = 1.0 + np.linalg.norm(self.rows, axis=1) * float(np.linalg.norm(v))
         return bool(np.all(slack >= -tol * scale))
 
-    def relax(self, indices: Sequence[int]) -> "PolyhedralCone":
-        """Cone with only the given subset of rows (T^J for J a subset)."""
-        if not self.convex:
-            raise ValueError("cannot relax a union cone")
-        idx = list(indices)
-        return PolyhedralCone(dim=self.dim, rows=self.rows[idx])
-
 
 def cone_union(a: PolyhedralCone, b: PolyhedralCone) -> PolyhedralCone:
     if a.dim != b.dim:
@@ -463,12 +456,10 @@ def sector_tangent_cone(sec: Sector, s) -> PolyhedralCone:
 # ---------------------------------------------------------------------------
 
 
-def lifted_tangent_cone(H, low_cone: PolyhedralCone, x=None) -> PolyhedralCone:
+def lifted_tangent_cone(H, low_cone: PolyhedralCone) -> PolyhedralCone:
     """Pullback cone {v : H v in low_cone} for H with full row rank.
 
     In halfspace form the pullback composes each row of the low cone with H.
-    ``x`` is the base point of the lifted set; it is accepted for interface
-    completeness but the pullback depends only on ``low_cone``.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     if H.shape[0] > H.shape[1]:

@@ -12,10 +12,11 @@ untouched.
 
 That projection has a closed form: the z1-rate is fc1 clamped into the
 interval that the tight sector lines impose (k1*edot and/or k2*edot, oriented
-by the branch), and at the corner the clamp over whichever branch admits
-edot.  ``closed_loop_rhs`` evaluates it in plain floats; the general KKT
-projection (``projection.project_partial``) and the brute-force oracle are
-kept as its references, not on the simulation path.
+by the branch), and at the corner the interval of whichever branch admits
+edot.  ``closed_loop_rhs`` evaluates it in plain floats through
+``projection.vstar_selector``; the general KKT projection
+(``projection.sector_project``) and the brute-force oracle are kept as its
+references, not on the simulation path.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import NotInSet, ZeroOutputRow
 from .geometry import Sector, _as_vector, _readonly
-from .projection import ProjectionSubspace, sector_project, vstar_selector
+from .projection import ProjectionSubspace, vstar_selector
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,11 @@ def closed_loop_rhs(sys: ClosedLoopSystem, xi, w: float = 0.0) -> RhsEval:
     and replaces only the z1-rate by the result.  Plant components and the
     remaining controller components pass through unchanged.
 
-    Off the corner the projection is the closed-form clamp of fc1 into the
-    interval set by the tight sector lines (``vstar_selector``), with the
-    point classified once by ``Sector.classify``.  At the corner it is
-    ``sector_project``'s closed form over both branches.  The KKT path
-    (``sector_project`` off the corner, via ``project_partial``) and
+    The projection is the closed-form clamp of fc1 into the interval that
+    the point's position admits (``vstar_selector``), with the point
+    classified once by ``Sector.classify``: off the corner the tight sector
+    line bounds it, at the corner the branch that admits edot does.
+    ``sector_project`` (KKT enumeration off the corner) and
     ``oracle_project`` are its references in the tests.
     """
     xi = _as_vector(xi, sys.dim)
@@ -177,21 +178,14 @@ def closed_loop_rhs(sys: ClosedLoopSystem, xi, w: float = 0.0) -> RhsEval:
     fc = _as_vector(sys.controller.f_c(z, e), sys.m)
     edot = float(sys.plant.gp @ fp)
     fc1 = float(fc[0])
-    if pos.label == "corner":
-        proj = sector_project(sec, eu, np.array([edot, fc1]))
-        vstar, correction = float(proj.w[1]), proj.correction_norm
-    else:
-        # Off the corner at most one line is tight (two would be the corner).
-        active = "lower" if pos.lower else "upper" if pos.upper else "none"
-        vstar = vstar_selector(sec, edot, fc1, active, "K" if pos.in_k else "minusK")
-        correction = abs(vstar - fc1)
+    vstar = vstar_selector(sec, pos, edot, fc1)
     field = np.concatenate([fp, [vstar], fc[1:]])
     return RhsEval(
         field=field,
         edot=edot,
         vstar=vstar,
         branch=pos.label,
-        correction_norm=correction,
+        correction_norm=abs(vstar - fc1),
     )
 
 

@@ -31,7 +31,14 @@ import scipy.linalg
 import scipy.optimize
 
 from .errors import BranchContradiction, Infeasible, DegenerateKKT, NotInSet, RankDeficient
-from .geometry import PolyhedralCone, Sector, _as_vector, _readonly, sector_tangent_cone
+from .geometry import (
+    PolyhedralCone,
+    Sector,
+    SectorPosition,
+    _as_vector,
+    _readonly,
+    sector_tangent_cone,
+)
 
 # Sign tolerance for KKT multipliers.
 EPS_DUAL = 1e-10
@@ -332,37 +339,25 @@ def sector_project(sec: Sector, s, w) -> ProjectionResult:
     )
 
 
-def vstar_selector(
-    sec: Sector, edot: float, fc1: float, active: str, branch: str = "K"
-) -> float:
+def vstar_selector(sec: Sector, pos: SectorPosition, edot: float, fc1: float) -> float:
     """Piecewise selection of the projected vertical velocity.
 
-    ``active`` says which sector lines are tight at the underlying point:
-    'none', 'lower' (u = k1 e), 'upper' (u = k2 e) or 'both' (the origin).
-    On the K branch the tight lines bound the velocity from below by
-    k1*edot and above by k2*edot; on -K the inequalities flip.  The result
-    is the clamp of fc1 into that interval, hence always one of
+    ``pos`` is ``sec.classify`` of the underlying point, which must lie in
+    the sector.  Off the corner at most one line is tight: on K the lower
+    line u = k1 e bounds the velocity from below by k1*edot and the upper
+    line u = k2 e from above by k2*edot; on -K the inequalities flip.  At
+    the corner the admissible interval is that of whichever branch admits
+    edot, [min(k1*edot, k2*edot), max(k1*edot, k2*edot)].  The result is
+    the clamp of fc1 into the interval, hence always one of
     {fc1, k1*edot, k2*edot}.
     """
-    if active not in ("none", "lower", "upper", "both"):
-        raise ValueError(f"unknown active spec {active!r}")
-    if branch not in ("K", "minusK"):
-        raise ValueError(f"unknown branch {branch!r}")
-    lo, hi = -np.inf, np.inf
-    if branch == "K":
-        if active in ("lower", "both"):
-            lo = sec.k1 * edot
-        if active in ("upper", "both"):
-            hi = sec.k2 * edot
+    k1e, k2e = sec.k1 * edot, sec.k2 * edot
+    if pos.label == "corner":
+        lo, hi = min(k1e, k2e), max(k1e, k2e)
+    elif pos.in_k:
+        lo = k1e if pos.lower else -np.inf
+        hi = k2e if pos.upper else np.inf
     else:
-        if active in ("lower", "both"):
-            hi = sec.k1 * edot
-        if active in ("upper", "both"):
-            lo = sec.k2 * edot
-    if lo > hi:
-        # Only possible at the origin when the branch opposes edot's sign;
-        # a valid (point, branch) pair never produces it beyond roundoff.
-        if lo - hi > 1e-9 * (1.0 + abs(edot)):
-            raise ValueError("active bounds are inconsistent with the branch")
-        lo = hi = 0.5 * (lo + hi)
+        lo = k2e if pos.upper else -np.inf
+        hi = k1e if pos.lower else np.inf
     return float(min(max(fc1, lo), hi))

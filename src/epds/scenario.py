@@ -159,7 +159,6 @@ class Scenario:
     input: dict
     horizon: float
     step: float
-    seed: int
 
     def to_json(self) -> dict:
         return {
@@ -171,7 +170,6 @@ class Scenario:
             "input": dict(self.input),
             "horizon": self.horizon,
             "step": self.step,
-            "seed": self.seed,
         }
 
 
@@ -182,7 +180,6 @@ class RuntimeBundle:
     xi0: np.ndarray
     horizon: float
     step: float
-    seed: int
 
 
 def scenario_from_json(doc: dict) -> Scenario:
@@ -251,9 +248,6 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise ScenarioError("step", "must be positive")
     if signal.end is not None and horizon > signal.end:
         raise ScenarioError("horizon", "exceeds the input signal's domain")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("seed", "must be an integer")
 
     # Membership of the initial state in the lifted set.
     try:
@@ -275,7 +269,6 @@ def scenario_from_json(doc: dict) -> Scenario:
         input=signal.to_json(),
         horizon=horizon,
         step=step,
-        seed=seed,
     )
 
 
@@ -291,5 +284,4 @@ def build_runtime(scenario: Scenario) -> RuntimeBundle:
         xi0=np.array(scenario.initial_state),
         horizon=scenario.horizon,
         step=scenario.step,
-        seed=scenario.seed,
     )

@@ -31,7 +31,7 @@ from .geometry import _as_vector, _readonly
 from .pbc import ClosedLoopSystem, closed_loop_rhs
 
 DEFAULT_STEP = 1e-3
-DEFAULT_BLOWUP = 1e12
+BLOWUP_BOUND = 1e12  # |xi| beyond which integrate raises StateExploded
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +296,6 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegrateOptions:
-    blowup_bound: float = DEFAULT_BLOWUP
-
-    def __post_init__(self):
-        if self.blowup_bound <= 0:
-            raise ValueError("blowup_bound must be positive")
-
-
 def drift_correct(sys: ClosedLoopSystem, xi) -> tuple[np.ndarray, bool]:
     """Clamp the controller output back into the sector, along E only.
 
@@ -340,15 +331,21 @@ def _step_schedule(signal: InputSignal, T: float, h: float):
                 t = t_next
 
 
-def _run(
+def integrate(
     sys: ClosedLoopSystem,
     xi0,
     signal: InputSignal,
     T: float,
-    h: float,
-    opts: IntegrateOptions,
-    embed_time: bool,
+    h: float = DEFAULT_STEP,
 ) -> Trace:
+    """Explicit Euler on the projected field, with drift correction.
+
+    Rows record the raw post-step states (see the module docstring for the
+    correction bookkeeping).  Raises InitialStateOutsideSet when xi0
+    violates the lifted set and StateExploded once |xi| exceeds
+    BLOWUP_BOUND, which signals possible finite escape when the
+    linear-growth bound fails.
+    """
     xi0 = _as_vector(xi0, sys.dim)
     if not (h > 0.0 and T > 0.0):
         raise ValueError("need h > 0 and T > 0")
@@ -361,7 +358,6 @@ def _run(
 
     rec = _Recorder(h)
     raw = xi0.copy()
-    clock = 0.0  # embedded-time state; mirrors the schedule exactly
 
     def record(t, state_raw, rhs, corrected):
         eu = sys.output_pair(state_raw)
@@ -380,44 +376,17 @@ def _run(
 
     for t, dt, t_next in _step_schedule(signal, T, h):
         stepped, was_corrected = drift_correct(sys, raw)
-        w = eval_input(signal, clock if embed_time else t)
-        r = closed_loop_rhs(sys, stepped, w)
+        r = closed_loop_rhs(sys, stepped, eval_input(signal, t))
         record(t, raw, r, was_corrected)
         raw = stepped + dt * r.field
-        if embed_time:
-            # The unit clock integrates exactly under Euler; assigning the
-            # scheduled landing removes 1-ulp drift so both integrators
-            # share one clock (and one input sample sequence).
-            euler_clock = clock + dt * 1.0
-            if abs(euler_clock - t_next) > 8.0 * np.finfo(float).eps * max(1.0, t_next):
-                raise AssertionError("embedded clock diverged from the schedule")
-            clock = t_next
         norm = float(np.linalg.norm(raw))
-        if norm > opts.blowup_bound:
-            raise StateExploded(t_next, norm, opts.blowup_bound)
+        if norm > BLOWUP_BOUND:
+            raise StateExploded(t_next, norm, BLOWUP_BOUND)
 
     final, was_corrected = drift_correct(sys, raw)
     r = closed_loop_rhs(sys, final, eval_input(signal, T))
     record(T, raw, r, was_corrected)
     return rec.finish()
-
-
-def integrate(
-    sys: ClosedLoopSystem,
-    xi0,
-    signal: InputSignal,
-    T: float,
-    h: float = DEFAULT_STEP,
-    opts: IntegrateOptions | None = None,
-) -> Trace:
-    """Explicit Euler on the projected field, with drift correction.
-
-    Rows record the raw post-step states (see the module docstring for the
-    correction bookkeeping).  Raises InitialStateOutsideSet when xi0
-    violates the lifted set and StateExploded past the blow-up bound, which
-    signals possible finite escape when the linear-growth bound fails.
-    """
-    return _run(sys, xi0, signal, T, h, opts or IntegrateOptions(), embed_time=False)
 
 
 @dataclass(frozen=True)
@@ -426,7 +395,9 @@ class TimeEmbedded:
 
     The constraint set becomes (lifted set) x R>=0, corrections act on
     (controller states) x {0}, and the field is (f(xi, w(t)), 1): the clock
-    is a state whose rate is one and is never projected.
+    is a state whose rate is one and is never projected.  ``integrate`` is
+    explicit Euler on this system with the clock read off the step schedule;
+    the tests step ``rhs`` directly and require the same trace bit for bit.
     """
 
     system: ClosedLoopSystem
@@ -446,23 +417,6 @@ class TimeEmbedded:
         w = eval_input(self.signal, float(chi[-1]))
         r = closed_loop_rhs(self.system, chi[:-1], w)
         return np.concatenate([r.field, [1.0]])
-
-
-def integrate_time_embedded(
-    emb: TimeEmbedded,
-    xi0,
-    T: float,
-    h: float = DEFAULT_STEP,
-    opts: IntegrateOptions | None = None,
-) -> Trace:
-    """Integrate the time-embedded system; the trace reports the xi part.
-
-    Shares the step schedule and the floating-point update sequence with
-    ``integrate``, so on the same scenario the traces are bitwise equal.
-    """
-    return _run(
-        emb.system, xi0, emb.signal, T, h, opts or IntegrateOptions(), embed_time=True
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +446,6 @@ def convergence_study(
     signal: InputSignal,
     T: float,
     h_list,
-    opts: IntegrateOptions | None = None,
 ) -> ConvergenceReport:
     """Rerun the integration per step size and fit the residual decay order.
 
@@ -506,7 +459,7 @@ def convergence_study(
     traces: list[Trace | None] = []
     for h in hs:
         try:
-            tr = integrate(sys, xi0, signal, T, h, opts)
+            tr = integrate(sys, xi0, signal, T, h)
         except StateExploded as exc:
             entries.append({"h": h, "status": "StateExploded", "t": exc.t, "norm": exc.norm})
             traces.append(None)

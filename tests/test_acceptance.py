@@ -20,7 +20,6 @@ from epds import (
     closed_loop_rhs,
     growth_check,
     integrate,
-    integrate_time_embedded,
     lifted_tangent_cone,
     oracle_project,
     sector_krasovskii_vertices,
@@ -34,7 +33,7 @@ from epds.krasovskii import _corner_strata
 from epds.projection import feasible
 from epds.sim import SinusoidSegment
 from epds.verify import verify_projection, verify_krasovskii
-from conftest import make_higs_benchmark
+from conftest import euler_time_embedded, make_higs_benchmark
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -178,14 +177,7 @@ def test_criterion_5_piecewise_vstar_selection():
         menu = (float(w[1]), sec.k1 * float(w[0]), sec.k2 * float(w[0]))
         if min(abs(vs - m) for m in menu) <= 1e-9:
             in_menu += 1
-        lower, upper = sec.active_lines(s)
-        active = {
-            (False, False): "none",
-            (True, False): "lower",
-            (False, True): "upper",
-            (True, True): "both",
-        }[(lower, upper)]
-        v_sel = vstar_selector(sec, float(w[0]), float(w[1]), active, branch=res.branch)
+        v_sel = vstar_selector(sec, sec.classify(*s.tolist()), float(w[0]), float(w[1]))
         if abs(v_sel - vs) <= 1e-9:
             agree += 1
     ok = in_menu == n and agree == n
@@ -271,7 +263,7 @@ def test_criterion_9_reduction_equivalence(higs):
         xi = np.array([x[0], x[1], u])
         r = closed_loop_rhs(higs, xi, 0.0)
         low = sector_tangent_cone(higs.sector, higs.output_pair(xi))
-        lifted = lifted_tangent_cone(higs.H, low, xi)
+        lifted = lifted_tangent_cone(higs.H, low)
         w_oracle = oracle_project(lifted, higs.E, higs.unprojected_field(xi, 0.0))
         worst = max(worst, float(np.linalg.norm(r.field - w_oracle)))
     ok = worst <= 1e-6
@@ -283,12 +275,12 @@ def test_criterion_10_pc_input_segmentation(higs):
     xi0 = np.array([1.0, 0.0, -0.5])
     sig = InputSignal.steps((0.0, 0.7, 1.3, 2.9), (0.0, 2.0, -1.0, 0.5))
     direct = integrate(higs, xi0, sig, T=4.0, h=1e-2)
-    embedded = integrate_time_embedded(TimeEmbedded(higs, sig), xi0, T=4.0, h=1e-2)
+    t, xi, vstar, branch = euler_time_embedded(TimeEmbedded(higs, sig), xi0, T=4.0, h=1e-2)
     bitwise = (
-        direct.t.tobytes() == embedded.t.tobytes()
-        and direct.xi.tobytes() == embedded.xi.tobytes()
-        and direct.vstar.tobytes() == embedded.vstar.tobytes()
-        and direct.branch == embedded.branch
+        direct.t.tobytes() == t.tobytes()
+        and direct.xi.tobytes() == xi.tobytes()
+        and direct.vstar.tobytes() == vstar.tobytes()
+        and direct.branch == branch
     )
     landing = all(bp in direct.t for bp in (0.7, 1.3, 2.9))
     ok = bitwise and landing

@@ -126,7 +126,7 @@ def test_reduction_matches_lifted_oracle(rng, higs_system):
         xi = np.array([x[0], x[1], u])
         r = closed_loop_rhs(sys, xi, 0.0)
         low = sector_tangent_cone(sys.sector, sys.output_pair(xi))
-        lifted = lifted_tangent_cone(sys.H, low, xi)
+        lifted = lifted_tangent_cone(sys.H, low)
         w_oracle = oracle_project(lifted, sys.E, sys.unprojected_field(xi, 0.0))
         worst = max(worst, float(np.linalg.norm(r.field - w_oracle)))
     assert worst <= 1e-6

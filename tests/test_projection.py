@@ -183,11 +183,16 @@ def test_sector_branch_containment(rng):
 
 def test_vstar_selector_examples():
     sec = Sector(0.0, 1.0)
-    assert vstar_selector(sec, 0.7, -0.4, "none") == -0.4
-    assert vstar_selector(sec, 0.0, 1.0, "upper") == 0.0  # k2 * edot
-    assert vstar_selector(sec, 1.0, 2.0, "both", branch="K") == 1.0  # k2 * edot
-    assert vstar_selector(sec, 1.0, -1.0, "both", branch="K") == 0.0  # k1 * edot
-    assert vstar_selector(sec, -1.0, 5.0, "both", branch="minusK") == 0.0
+    inside, upper, corner = sec.classify(2.0, 1.0), sec.classify(1.0, 1.0), sec.classify(0.0, 0.0)
+    assert vstar_selector(sec, inside, 0.7, -0.4) == -0.4
+    assert vstar_selector(sec, upper, 0.0, 1.0) == 0.0  # k2 * edot
+    assert vstar_selector(sec, upper, 0.5, -1.0) == -1.0  # only bounded above
+    minus_upper = sec.classify(-1.0, -1.0)  # on -K the upper line bounds from below
+    assert vstar_selector(sec, minus_upper, 2.0, 0.5) == 2.0  # k2 * edot
+    assert vstar_selector(sec, corner, 1.0, 2.0) == 1.0  # k2 * edot, K admits edot > 0
+    assert vstar_selector(sec, corner, 1.0, -1.0) == 0.0  # k1 * edot
+    assert vstar_selector(sec, corner, -1.0, 5.0) == 0.0  # -K admits edot < 0
+    assert vstar_selector(sec, corner, -1.0, -5.0) == -1.0  # k2 * edot
 
 
 def test_vstar_selector_agrees_with_sector_project(rng):
@@ -207,9 +212,7 @@ def test_vstar_selector_agrees_with_sector_project(rng):
             s = np.array([e, k_line * e])
         w = rng.standard_normal(2) * 2
         res = sector_project(sec, s, w)
-        lower, upper = sec.active_lines(s)
-        active = {(False, False): "none", (True, False): "lower", (False, True): "upper", (True, True): "both"}[(lower, upper)]
-        v = vstar_selector(sec, float(w[0]), float(w[1]), active, branch=res.branch if res.branch != "none" else "K")
+        v = vstar_selector(sec, sec.classify(*s.tolist()), float(w[0]), float(w[1]))
         assert v == pytest.approx(float(res.w[1]), abs=1e-9)
         assert min(
             abs(v - w[1]), abs(v - sec.k1 * w[0]), abs(v - sec.k2 * w[0])

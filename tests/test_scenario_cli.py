@@ -28,7 +28,6 @@ HIGS_DOC = {
     },
     "horizon": 0.5,
     "step": 0.01,
-    "seed": 0,
 }
 
 
@@ -44,16 +43,16 @@ def test_round_trip_value_identity():
     sc2 = scenario_from_json(doc2)
     assert sc == sc2
     assert sc2.to_json() == doc2
+    # unknown keys are ignored: a document with the retired "seed" still loads
+    assert scenario_from_json({**HIGS_DOC, "seed": 0}) == sc
 
 
 def test_defaults_are_normalized():
     doc = copy.deepcopy(HIGS_DOC)
     del doc["input"]
-    del doc["seed"]
     del doc["sector"]  # implied by the higs preset
     sc = scenario_from_json(doc)
     assert sc.sector == (0.0, 1.0)
-    assert sc.seed == 0
     assert sc.input["segments"][0] == {"kind": "constant", "value": 0.0}
 
 
@@ -69,7 +68,6 @@ def test_defaults_are_normalized():
         (lambda d: d.update(initial_state=[0.0, 0.0]), "initial_state"),
         (lambda d: d.update(horizon=-1.0), "horizon"),
         (lambda d: d.update(step=0.0), "step"),
-        (lambda d: d.update(seed="zero"), "seed"),
         (lambda d: d["controller"].update(k_h=-2.0), "controller"),
     ],
 )

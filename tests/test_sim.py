@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from epds import (
     Controller,
     InitialStateOutsideSet,
     InputSignal,
-    IntegrateOptions,
     Plant,
     Sector,
     StateExploded,
@@ -20,12 +20,11 @@ from epds import (
     drift_correct,
     eval_input,
     integrate,
-    integrate_time_embedded,
 )
 import epds.projection
 from epds.scenario import build_runtime, scenario_from_json
-from epds.sim import ConstantSegment, PolynomialSegment, RampSegment, SinusoidSegment
-from conftest import make_higs_benchmark
+from epds.sim import BLOWUP_BOUND, ConstantSegment, PolynomialSegment, RampSegment, SinusoidSegment
+from conftest import euler_time_embedded, make_higs_benchmark
 
 
 def zero_system():
@@ -144,11 +143,11 @@ def test_time_embedding_bitwise_equivalence(higs_system):
     xi0 = np.array([1.0, 0.0, -0.5])
     sig = InputSignal.steps((0.0, 0.7, 1.3), (0.0, 2.0, -1.0))
     a = integrate(sys, xi0, sig, T=2.0, h=0.01)
-    b = integrate_time_embedded(TimeEmbedded(sys, sig), xi0, T=2.0, h=0.01)
-    assert a.t.tobytes() == b.t.tobytes()
-    assert a.xi.tobytes() == b.xi.tobytes()
-    assert a.vstar.tobytes() == b.vstar.tobytes()
-    assert a.branch == b.branch
+    t, xi, vstar, branch = euler_time_embedded(TimeEmbedded(sys, sig), xi0, T=2.0, h=0.01)
+    assert a.t.tobytes() == t.tobytes()
+    assert a.xi.tobytes() == xi.tobytes()
+    assert a.vstar.tobytes() == vstar.tobytes()
+    assert a.branch == branch
     # breakpoints are hit exactly
     for bp in (0.7, 1.3):
         assert bp in a.t
@@ -166,19 +165,9 @@ def test_state_exploded():
     plant = Plant(n=1, f_p=lambda x, u, w: np.array([40.0 * x[0]]), gp=np.array([1.0]))
     ctrl = Controller(m=1, f_c=lambda z, e: np.array([40.0 * z[0]]))
     sys = build_closed_loop(plant, ctrl, Sector(0.0, 1.0))
-    with pytest.raises(StateExploded):
-        integrate(sys, np.array([1.0, 0.5]), InputSignal.constant(0.0), T=5.0, h=0.01)
-    # but a tame bound option triggers earlier
     with pytest.raises(StateExploded) as exc:
-        integrate(
-            sys,
-            np.array([1.0, 0.5]),
-            InputSignal.constant(0.0),
-            T=5.0,
-            h=0.01,
-            opts=IntegrateOptions(blowup_bound=1e3),
-        )
-    assert exc.value.norm > 1e3
+        integrate(sys, np.array([1.0, 0.5]), InputSignal.constant(0.0), T=5.0, h=0.01)
+    assert exc.value.norm > exc.value.bound == BLOWUP_BOUND
 
 
 def test_convergence_study_zero_field():
@@ -230,7 +219,9 @@ def test_trace_csv_format(tmp_path, higs_system):
 
 def test_simulator_stays_off_the_kkt_and_lp_paths(monkeypatch):
     # The shipped scenarios must run on the closed-form field alone: with
-    # the general projection and the LP disabled they complete unchanged.
+    # the general projection, the sector projection and the LP disabled in
+    # every module that binds them, they complete unchanged.
+    # tracking_benchmark starts at the corner, so the corner clamp is covered.
     root = Path(__file__).resolve().parent.parent / "scenarios"
     bundles = [
         build_runtime(scenario_from_json(json.loads((root / f"{name}.json").read_text())))
@@ -243,10 +234,13 @@ def test_simulator_stays_off_the_kkt_and_lp_paths(monkeypatch):
     reference = [run(b) for b in bundles]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the simulator reached the KKT/LP projection path")
+        raise AssertionError("the simulator reached the KKT/LP/sector projection path")
 
-    monkeypatch.setattr(epds.projection, "project_partial", forbidden)
-    monkeypatch.setattr(epds.projection, "feasible", forbidden)
+    for name in ("project_partial", "feasible", "sector_project"):
+        original = getattr(epds.projection, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "epds" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, forbidden)
     for b, ref in zip(bundles, reference):
         tr = run(b)
         for name in ("t", "xi", "vstar", "correction_norm", "drift_corrected"):
