@@ -23,12 +23,12 @@ raises instead of being merged.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import BranchContradiction, Infeasible, DegenerateKKT, NotInSet, RankDeficient
 from .geometry import (
@@ -124,38 +124,37 @@ def _phase1_rows(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray):
     return G / norms[:, None], g / norms
 
 
-def _phase1_lp(Gn: np.ndarray, gn: np.ndarray) -> float:
-    """Least slack t >= 0 with Gn eta + t >= gn, by HiGHS; inf on failure."""
-    n_e = Gn.shape[1]
-    c = np.zeros(n_e + 1)
-    c[-1] = 1.0
-    res = scipy.optimize.linprog(
-        c,
-        A_ub=np.column_stack([-Gn, -np.ones(len(gn))]),
-        b_ub=-gn,
-        bounds=[(None, None)] * n_e + [(0, None)],
-        method="highs",
-    )
-    return float(res.x[-1]) if res.success else np.inf
+@functools.lru_cache(maxsize=64)
+def _supports(m: int, size: int) -> np.ndarray:
+    """All size-element subsets of range(m), one per row, in a read-only array."""
+    S = np.array(list(itertools.combinations(range(m), size)), dtype=np.intp)
+    S.flags.writeable = False
+    return S
 
 
-def _phase1_scalar(a: list[float], c: list[float]) -> float:
-    """Exact least slack t >= 0 with a_i eta + t >= c_i for a scalar eta.
+def _phase1(Gn: np.ndarray, gn: np.ndarray) -> float:
+    """Exact least slack t >= 0 with Gn eta + t >= gn, for any n_E.
 
-    A row with a_i = 0 needs t >= c_i.  Otherwise t >= max_i (c_i - a_i eta)
-    is a maximum of lines in eta; its minimum is unbounded below unless
-    slopes of both signs occur, and then it sits where a falling line
-    (a_i > 0) meets a rising one (a_j < 0), at the largest such crossing
-    value (c_i |a_j| + c_j a_i) / (a_i + |a_j|).
+    By LP duality t* = max(0, max gn.lam) over the vertices of
+    Lambda = {lam >= 0, sum lam = 1, Gn^T lam = 0}.  A vertex has at most
+    n_E + 1 nonzeros and solves [Gn_S^T; 1^T] lam_S = e_last on its support
+    S, so every support of that size or less is solved by pseudo-inverse.  A
+    solution with residual <= 1e-12 and lam_S >= -1e-12 lies in Lambda,
+    hence gn.lam is a lower bound on t* (weak duality); the vertices are
+    among the kept solutions, so the maximum is t* itself.  For n_E = 1 the
+    vertices are the rows with Gn_i = 0 and the pairs of rows of opposite
+    sign.
     """
+    m, n_e = Gn.shape
+    e_last = np.eye(n_e + 1)[-1]
     t = 0.0
-    for ai, ci in zip(a, c):
-        if ai == 0.0:
-            t = max(t, ci)
-        elif ai > 0.0:
-            for aj, cj in zip(a, c):
-                if aj < 0.0:
-                    t = max(t, (ci * -aj + cj * ai) / (ai - aj))
+    for size in range(1, min(m, n_e + 1) + 1):
+        S = _supports(m, size)
+        M = np.concatenate([np.swapaxes(Gn[S], 1, 2), np.ones((len(S), 1, size))], axis=1)
+        lam = np.linalg.pinv(M)[:, :, -1]
+        resid = np.linalg.norm(np.einsum("cij,cj->ci", M, lam) - e_last, axis=1)
+        kept = (resid <= 1e-12) & (lam.min(axis=1) >= -1e-12)
+        t = max(t, float(np.max(np.where(kept, np.sum(gn[S] * lam, axis=1), 0.0))))
     return t
 
 
@@ -163,10 +162,9 @@ def feasible(cone: PolyhedralCone, E: ProjectionSubspace, v) -> bool:
     """Whether the cone meets v + Im E, by a phase-1 feasibility problem.
 
     Minimizes a single slack t with A(v + E eta) + t >= 0, t >= 0; the
-    intersection is nonempty exactly when the optimal t is (numerically)
-    zero.  For n_E = 1 the optimum has a closed form; larger subspaces
-    solve the LP.  Union cones are out of contract here; the sector path
-    handles them branch by branch.
+    intersection is nonempty exactly when the optimal t (``_phase1``, exact
+    for every n_E) is at most 1e-9 on the unit-normalized rows.  Union cones
+    are out of contract here; the sector path handles them branch by branch.
     """
     if not cone.convex:
         raise ValueError("feasible() expects a convex cone")
@@ -174,11 +172,7 @@ def feasible(cone: PolyhedralCone, E: ProjectionSubspace, v) -> bool:
     if cone.n_rows == 0:
         return True
     Gn, gn = _phase1_rows(cone, E, v)
-    if E.n_e == 1:
-        t = _phase1_scalar(Gn[:, 0].tolist(), gn.tolist())
-    else:
-        t = _phase1_lp(Gn, gn)
-    return bool(t <= 1e-9)
+    return bool(_phase1(Gn, gn) <= 1e-9)
 
 
 def _enumerate_kkt(G: np.ndarray, g: np.ndarray, Q2: np.ndarray):
@@ -231,12 +225,15 @@ def project_partial(
 
     G, g = _cone_matrices(cone, E, v)
     Q2 = 2.0 * (E.basis.T @ E.basis)
-    row_scale = 1.0 + np.abs(g) + np.linalg.norm(G, axis=1)
+    G_norms = np.linalg.norm(G, axis=1)
+    row_scale = 1.0 + np.abs(g) + G_norms
 
     passing: list[tuple[tuple[int, ...], np.ndarray]] = []
     for subset, eta, lam in _enumerate_kkt(G, g, Q2):
         slack = G @ eta - g
-        if np.any(slack < -1e-9 * row_scale):
+        # Relative to the terms of each row only, so that no violation is
+        # too small to be corrected.
+        if np.any(slack < -1e-9 * (np.abs(g) + G_norms * np.linalg.norm(eta))):
             continue
         if lam.size and np.min(lam) < -EPS_DUAL * max(1.0, float(np.max(np.abs(lam)))):
             continue

@@ -7,6 +7,7 @@ ready for JSON serialization.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -25,6 +26,7 @@ from .krasovskii import krasovskii_vertices, sector_krasovskii_vertices, verify_
 from .oracle import oracle_project
 from .projection import (
     ProjectionSubspace,
+    _phase1,
     feasible,
     project_partial,
     sector_project,
@@ -74,10 +76,6 @@ def well_posed_instance(
     beyond the problem scale: there the comparison's absolute tolerance is
     below the attainable precision of any double-precision method.
     """
-    import itertools
-
-    import scipy.optimize
-
     G = cone.rows @ E.basis
     rn = np.linalg.norm(G, axis=1)
     if np.any(rn < 1e-12):
@@ -89,17 +87,14 @@ def well_posed_instance(
             sv = np.linalg.svd(Gn[list(subset)], compute_uv=False)
             if sv[-1] < 1e-2:
                 return False
-    # Feasibility within a bounded correction box.
+    # Feasibility within the correction box |eta_i| <= bound, whose faces
+    # are 2 n_E more rows of the same phase-1 problem.
     g = -(cone.rows @ v)
     bound = bound_factor * (1.0 + float(np.linalg.norm(v)))
-    res = scipy.optimize.linprog(
-        np.concatenate([np.zeros(n_e), [1.0]]),
-        A_ub=np.column_stack([-Gn, -np.ones(k)]),
-        b_ub=-g / rn,
-        bounds=[(-bound, bound)] * n_e + [(0, None)],
-        method="highs",
-    )
-    return bool(res.success and res.x[-1] <= 1e-9)
+    eye = np.eye(n_e)
+    rows = np.vstack([Gn, eye, -eye])
+    rhs = np.concatenate([g / rn, np.full(2 * n_e, -bound)])
+    return bool(_phase1(rows, rhs) <= 1e-9)
 
 
 def verify_projection(

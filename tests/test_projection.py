@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -19,8 +22,8 @@ from epds import (
     sector_tangent_cone,
     vstar_selector,
 )
-from epds.projection import _phase1_rows, _phase1_scalar
-from epds.verify import random_projection_instance
+from epds.projection import _phase1, _phase1_rows
+from epds.verify import random_projection_instance, well_posed_instance
 
 
 def vertical_subspace():
@@ -231,19 +234,23 @@ def test_singleton_property_random_instances(seed):
 
 
 @st.composite
-def scalar_phase1_instances(draw):
-    """Cones of 1-4 rows in R^2..R^4 with E = span{scale * e_n}, so a_i has
-    the sign of the last row entry.  That entry is exactly 0 (row orthogonal
-    to E) or at least 0.05 in magnitude, of one shared sign or of mixed
-    signs; |v| lies in [1e-6, 1e6]."""
-    n = draw(st.integers(2, 4))
+def phase1_instances(draw):
+    """Cones of 1-4 rows in R^2..R^4 with E = span{s_j * e_j} over the last
+    n_E in {1, 2, 3} coordinates, so the entry a_ij of Gn has the sign of
+    row entry j.  Each such entry is exactly 0 (row orthogonal to that
+    direction) or at least 0.05 in magnitude; the first correction column
+    has one shared sign or mixed signs.  |v| lies in [1e-6, 1e6]."""
+    n_e = draw(st.integers(1, 3))
+    n = draw(st.integers(max(2, n_e), 4))
     m = draw(st.integers(1, 4))
     shared_sign = draw(st.sampled_from([None, 1.0, -1.0]))
     rows = []
     for _ in range(m):
-        head = draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1))
-        sign = shared_sign or draw(st.sampled_from([1.0, -1.0]))
-        rows.append(head + [sign * draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0)))])
+        row = draw(st.lists(st.floats(-1.0, 1.0), min_size=n - n_e, max_size=n - n_e))
+        for j in range(n_e):
+            sign = shared_sign if j == 0 and shared_sign else draw(st.sampled_from([1.0, -1.0]))
+            row.append(sign * draw(st.one_of(st.just(0.0), st.floats(0.05, 1.0))))
+        rows.append(row)
     direction = np.array(
         draw(
             st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).filter(
@@ -252,8 +259,9 @@ def scalar_phase1_instances(draw):
         )
     )
     v = direction / np.linalg.norm(direction) * 10.0 ** draw(st.floats(-6.0, 6.0))
-    basis = np.zeros((n, 1))
-    basis[-1, 0] = draw(st.floats(0.1, 10.0))
+    basis = np.zeros((n, n_e))
+    for j in range(n_e):
+        basis[n - n_e + j, j] = draw(st.floats(0.1, 10.0))
     return PolyhedralCone(dim=n, rows=np.array(rows)), ProjectionSubspace(n, basis), v
 
 
@@ -274,16 +282,76 @@ def _phase1_lp_reference(Gn, gn):
     return float(res.x[-1])
 
 
-@given(scalar_phase1_instances())
+@given(phase1_instances())
 @settings(max_examples=500, deadline=None)
-def test_scalar_feasibility_matches_phase1_lp(instance):
-    # The closed-form phase-1 optimum (n_E = 1) against HiGHS on the same
-    # unit-normalized rows.  Rows with 0 < |a_i| <= 1e-9 stay out: HiGHS
-    # drops such matrix entries.
+def test_phase1_matches_highs_for_every_n_e(instance):
+    # The exact phase-1 optimum against HiGHS on the same unit-normalized
+    # rows.  Entries with 0 < |a_ij| <= 1e-9 stay out: HiGHS drops such
+    # matrix entries.
     cone, E, v = instance
     Gn, gn = _phase1_rows(cone, E, v)
-    t_exact = _phase1_scalar(Gn[:, 0].tolist(), gn.tolist())
+    t_exact = _phase1(Gn, gn)
     t_lp = _phase1_lp_reference(Gn, gn)
     assert abs(t_exact - t_lp) <= 1e-9
     if not 5e-10 <= t_exact <= 2e-9:
         assert feasible(cone, E, v) == (t_lp <= 1e-9)
+
+
+def _rows_as_instance(a, c):
+    """Cone, subspace and v whose phase-1 rows are (a_i, c_i) up to the
+    unit normalization: rows (a_i, -c_i) on (eta, 1), v = e_last."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    n = a.shape[1] + 1
+    cone = PolyhedralCone(dim=n, rows=np.column_stack([a, -np.asarray(c, dtype=float)]))
+    return cone, ProjectionSubspace(n, np.eye(n)[:, :-1]), np.eye(n)[-1]
+
+
+def test_phase1_examples():
+    # Exact t* = 4.1e-8: above the 1e-9 threshold, below HiGHS's default
+    # 1e-7 tolerance.  Infeasible at n_E = 1 and, through a zero second
+    # column, at n_E = 2.
+    a = np.array([[1.0], [-1.0], [1.0]])
+    c = [-5.88e-7, 6.70e-7, -2.40e-6]
+    for rows in (a, np.column_stack([a, np.zeros(3)])):
+        cone, E, v = _rows_as_instance(rows, c)
+        assert _phase1(*_phase1_rows(cone, E, v)) == pytest.approx(4.1e-8, rel=1e-6)
+        assert not feasible(cone, E, v)
+    # A row nearly orthogonal to E is still a row: eta = 5e9 satisfies it.
+    assert feasible(*_rows_as_instance([[1e-10]], [0.5]))
+
+
+def _well_posed_lp_reference(cone, E, v, bound_factor=30.0):
+    """``well_posed_instance`` with its box test as a HiGHS LP that bounds
+    eta by |eta_i| <= bound (HiGHS's default options)."""
+    G = cone.rows @ E.basis
+    rn = np.linalg.norm(G, axis=1)
+    if np.any(rn < 1e-12):
+        return False
+    Gn = G / rn[:, None]
+    k, n_e = G.shape
+    for size in range(2, n_e + 1):
+        for subset in itertools.combinations(range(k), size):
+            if np.linalg.svd(Gn[list(subset)], compute_uv=False)[-1] < 1e-2:
+                return False
+    g = -(cone.rows @ v)
+    bound = bound_factor * (1.0 + float(np.linalg.norm(v)))
+    res = scipy.optimize.linprog(
+        np.eye(n_e + 1)[-1],
+        A_ub=np.column_stack([-Gn, -np.ones(k)]),
+        b_ub=-g / rn,
+        bounds=[(-bound, bound)] * n_e + [(0, None)],
+        method="highs",
+    )
+    return bool(res.success and res.x[-1] <= 1e-9)
+
+
+def test_well_posed_instance_matches_box_lp():
+    rng = np.random.default_rng(11)
+    per_n_e = Counter()
+    while per_n_e.total() < 500:
+        cone, E, v = random_projection_instance(rng)
+        if not feasible(cone, E, v):
+            continue
+        assert well_posed_instance(cone, E, v) == _well_posed_lp_reference(cone, E, v)
+        per_n_e[E.n_e] += 1
+    assert sorted(per_n_e) == [1, 2, 3]

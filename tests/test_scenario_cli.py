@@ -1,10 +1,13 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import epds
 from epds import ScenarioError, scenario_from_json
 from epds.cli import main
 from epds.scenario import build_runtime
@@ -282,3 +285,20 @@ def test_no_stray_temp_files_after_run(tmp_path):
     leftovers = [f for f in os.listdir(out) if f.startswith(".epds-")]
     assert leftovers == []
     assert sorted(os.listdir(out)) == ["summary.json", "trace.csv"]
+
+
+def test_run_path_does_not_import_scipy_optimize(tmp_path):
+    # Importing scipy.optimize is a large share of a CLI start's time and
+    # memory.  Only the oracle's LP seed and krasovskii's extreme points use
+    # it, and they import it lazily.
+    scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios", "higs_benchmark.json")
+    code = (
+        "import sys\n"
+        "import epds, epds.cli\n"
+        f"assert epds.cli.main(['run', {scenario!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(epds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
