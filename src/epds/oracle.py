@@ -2,13 +2,16 @@
 
 This module certifies the closed-form solvers and is deliberately built on
 different mathematics: no KKT systems, no active-set enumeration.  The
-projection oracle runs a dense grid over the correction coefficients,
-filters by raw cone membership, and refines the best feasible point with
-bisection-style geometric passes (shrinking along the ray to the feasibility
-boundary, alternating halfspace projections, and exact one-dimensional
-minimization along a fixed direction set, each line solved by interval
-arithmetic on the constraints).  The tangent-cone oracle tests the
-sequential definition directly with difference quotients.
+projection oracle scores a dense grid over the correction coefficients,
+filtered by raw cone membership; the grid is evaluated on its separable
+axes, one constraint row at a time, and never materialized as a point
+array.  It then refines the best feasible point with bisection-style
+geometric passes (shrinking along the ray to the feasibility boundary,
+alternating halfspace projections, and exact one-dimensional minimization
+along the edges and facets active at the point, then along a fixed
+direction set, each line solved by interval arithmetic on the
+constraints).  The tangent-cone oracle tests the sequential definition
+directly with difference quotients.
 
 It may be orders of magnitude slower than the main solvers; that is fine.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -61,12 +65,6 @@ def _basis_of(E) -> np.ndarray:
     return np.atleast_2d(np.asarray(E, dtype=float))
 
 
-def _feasible_mask(etas: np.ndarray, G: np.ndarray, g: np.ndarray, slack: float):
-    if G.shape[0] == 0:
-        return np.ones(etas.shape[0], dtype=bool)
-    return np.all(etas @ G.T >= g[None, :] - slack, axis=1)
-
-
 def _is_feasible(eta: np.ndarray, G: np.ndarray, g: np.ndarray, slack: float) -> bool:
     if G.shape[0] == 0:
         return True
@@ -74,14 +72,24 @@ def _is_feasible(eta: np.ndarray, G: np.ndarray, g: np.ndarray, slack: float) ->
 
 
 def _grid_incumbent(G, g, Q, n_e, halfwidth, pts, slack):
-    axes = [np.linspace(-halfwidth, halfwidth, pts)] * n_e
-    mesh = np.meshgrid(*axes, indexing="ij")
-    etas = np.column_stack([m.ravel() for m in mesh])
-    mask = _feasible_mask(etas, G, g, slack)
-    if not np.any(mask):
+    """Best feasible point of the pts**n_E grid on [-halfwidth, halfwidth]**n_E.
+
+    The grid is scored on separable axes and never materialized: row i of
+    G @ eta is a broadcast sum of one scaled axis per coordinate, so the
+    feasibility mask is built row by row over the index box, and only the
+    feasible points are formed (in C order, so argmin breaks ties as a
+    ravelled ``meshgrid(indexing="ij")`` would).
+    """
+    lin = np.linspace(-halfwidth, halfwidth, pts)
+    axes = [lin.reshape([pts if d == k else 1 for k in range(n_e)]) for d in range(n_e)]
+    mask = np.ones((pts,) * n_e, dtype=bool)
+    for row, bound in zip(G, g - slack):
+        mask &= sum(ax * c for ax, c in zip(axes, row)) >= bound
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
         return None
-    cand = etas[mask]
-    obj = np.einsum("ij,jk,ik->i", cand, Q, cand)
+    cand = lin[np.column_stack(np.unravel_index(idx, mask.shape))]
+    obj = np.einsum("ij,ij->i", cand @ Q, cand)
     return cand[int(np.argmin(obj))]
 
 
@@ -159,7 +167,9 @@ def _dykstra(G, g, Q, max_sweeps=6000):
 
     Classical alternating projections with Dykstra's corrections; each
     halfspace projection is closed form in the Q-inner product.  Returns the
-    iterate after convergence or the sweep cap.
+    iterate after convergence or the sweep cap.  The sweeps run on plain
+    floats: with n_E <= 3 a row step is a handful of multiply-adds, which
+    small-array numpy would spend on allocation.
     """
     k, n_e = G.shape
     if k == 0:
@@ -168,20 +178,24 @@ def _dykstra(G, g, Q, max_sweeps=6000):
     aQ = (Qinv @ G.T).T  # rows: Qinv a_j
     denom = np.einsum("ij,ij->i", G, aQ)
     denom = np.maximum(denom, 1e-30)
-    x = np.zeros(n_e)
-    p = np.zeros((k, n_e))
+    rows = list(zip(G.tolist(), g.tolist(), aQ.tolist(), denom.tolist()))
+    x = [0.0] * n_e
+    p = [[0.0] * n_e for _ in range(k)]
     for _ in range(max_sweeps):
-        x_prev = x.copy()
-        for j in range(k):
-            y = x + p[j]
-            viol = g[j] - float(G[j] @ y)
+        x_prev = x
+        for j, (a, gj, aq, dj) in enumerate(rows):
+            y = list(map(add, x, p[j]))
+            viol = gj - sum(map(mul, a, y))
             if viol > 0.0:
-                x = y + (viol / denom[j]) * aQ[j]
+                s = viol / dj
+                x = [yi + s * qi for yi, qi in zip(y, aq)]
+                p[j] = list(map(sub, y, x))
             else:
                 x = y
-            p[j] = y - x
-        if np.linalg.norm(x - x_prev) <= 1e-15 * (1.0 + np.linalg.norm(x)):
+                p[j] = [0.0] * n_e
+        if math.dist(x, x_prev) <= 1e-15 * (1.0 + math.hypot(*x)):
             break
+    x = np.array(x)
     # Dykstra approaches the set from outside; a few plain projection
     # passes restore strict feasibility without moving the optimum.
     for _ in range(100):
@@ -194,9 +208,16 @@ def _dykstra(G, g, Q, max_sweeps=6000):
 
 
 def _null_directions(rows: np.ndarray, n_e: int) -> list[np.ndarray]:
-    """Tangent directions of active facets: nullspace vectors of single rows
-    and (in 3-D) of active row pairs, built by elementary geometry."""
+    """Tangent directions of active facets, built by elementary geometry:
+    in 3-D the edges of active row pairs first, since a facet tangent taken
+    on an edge steps off it, then nullspace vectors of single rows."""
     dirs: list[np.ndarray] = []
+    if n_e == 3:
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                t = np.cross(rows[i], rows[j])
+                if np.linalg.norm(t) > 1e-12:
+                    dirs.append(t / np.linalg.norm(t))
     for a in rows:
         na = np.linalg.norm(a)
         if na < 1e-14:
@@ -208,12 +229,6 @@ def _null_directions(rows: np.ndarray, n_e: int) -> list[np.ndarray]:
             for e in np.eye(3):
                 t = e - (e @ u) * u
                 if np.linalg.norm(t) > 1e-8:
-                    dirs.append(t / np.linalg.norm(t))
-    if n_e == 3:
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                t = np.cross(rows[i], rows[j])
-                if np.linalg.norm(t) > 1e-12:
                     dirs.append(t / np.linalg.norm(t))
     return dirs
 
@@ -295,36 +310,54 @@ def _gradient_directions(eta, G, active, Q, n_e) -> list[np.ndarray]:
     return dirs
 
 
+def _local_directions(eta, G, g, Q, n_e) -> list[np.ndarray]:
+    """Directions that belong to the point: tangents of its nearly active
+    facets, steepest descent and its facet projections, and the ray."""
+    if G.shape[0]:
+        # Loose activity cut: tangents of nearly-active rows are cheap
+        # and rescue points parked just inside a facet.
+        scale = 1.0 + np.abs(g) + np.linalg.norm(G, axis=1) * np.linalg.norm(eta)
+        active = np.abs(G @ eta - g) <= 1e-6 * scale
+    else:
+        active = np.zeros(0, bool)
+    dirs = _null_directions(G[active], n_e) + _gradient_directions(eta, G, active, Q, n_e)
+    nrm = np.linalg.norm(eta)
+    if nrm > 1e-14:
+        dirs.append(eta / nrm)
+    return dirs
+
+
+def _line_pass(eta, obj, dirs, G, g, Q):
+    """Exact line minimization along each direction in turn."""
+    improved = False
+    for d in dirs:
+        t = _line_min(eta, d, G, g, Q)
+        if t is None or abs(t) < 1e-16:
+            continue
+        cand = eta + t * d
+        cand_obj = float(cand @ Q @ cand)
+        if cand_obj < obj - 1e-18 * (1.0 + obj):
+            eta, obj = cand, cand_obj
+            improved = True
+    return eta, obj, improved
+
+
 def _refine(eta, G, g, Q, n_e, iters):
+    """Exact line searches until no direction improves the objective.
+
+    Local directions are retaken after every pass that moved the point, so
+    the search walks from a facet to an edge to a vertex; the fixed set
+    runs only when they stall.  Local directions of a point the search has
+    already left zigzag down a thin wedge and stop short of its apex.
+    """
     base_dirs = _direction_set(n_e)
     obj = float(eta @ Q @ eta)
     for _ in range(iters):
-        improved = False
-        if G.shape[0]:
-            # Loose activity cut: tangents of nearly-active rows are cheap
-            # and rescue points parked just inside a facet.
-            scale = 1.0 + np.abs(g) + np.linalg.norm(G, axis=1) * np.linalg.norm(eta)
-            active = np.abs(G @ eta - g) <= 1e-6 * scale
-        else:
-            active = np.zeros(0, bool)
-        dirs = (
-            list(base_dirs)
-            + _null_directions(G[active], n_e)
-            + _gradient_directions(eta, G, active, Q, n_e)
-        )
-        nrm = np.linalg.norm(eta)
-        if nrm > 1e-14:
-            dirs.append(eta / nrm)
-        for d in dirs:
-            t = _line_min(eta, d, G, g, Q)
-            if t is None or abs(t) < 1e-16:
-                continue
-            cand = eta + t * d
-            cand_obj = float(cand @ Q @ cand)
-            if cand_obj < obj - 1e-18 * (1.0 + obj):
-                eta, obj = cand, cand_obj
-                improved = True
-        if not improved:
+        eta, obj, slid = _line_pass(eta, obj, _local_directions(eta, G, g, Q, n_e), G, g, Q)
+        if slid:
+            continue
+        eta, obj, moved = _line_pass(eta, obj, base_dirs, G, g, Q)
+        if not moved:
             break
     return eta
 
@@ -337,7 +370,7 @@ def _solve_convex(G, g, Q, n_e, halfwidth, pts, refine_iters):
     feasibility fallback seeds the refinement instead; None means the
     branch is genuinely infeasible.
     """
-    slack = 1e-9 * (1.0 + float(np.max(np.abs(g))) if g.size else 1.0)
+    slack = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
     eta = None
     for hw in (halfwidth, 2.0 * halfwidth):
         eta = _grid_incumbent(G, g, Q, n_e, hw, pts, slack)
