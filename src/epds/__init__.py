@@ -49,7 +49,7 @@ from .krasovskii import (
     sector_krasovskii_vertices,
     verify_equality,
 )
-from .oracle import OracleConfig, oracle_project, oracle_tangent_membership
+from .oracle import oracle_project, oracle_tangent_membership
 from .pbc import (
     ClosedLoopSystem,
     Controller,

@@ -38,7 +38,8 @@ class BranchContradiction(EpdsError):
 
 
 class NoFeasiblePoint(EpdsError):
-    """The oracle grid found no feasible point, even after doubling the box."""
+    """The oracle found no feasible point: Dykstra's projections stalled,
+    the grid missed even after doubling its box, and the LP seed failed."""
 
 
 class ZeroOutputRow(EpdsError):

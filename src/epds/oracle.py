@@ -2,16 +2,16 @@
 
 This module certifies the closed-form solvers and is deliberately built on
 different mathematics: no KKT systems, no active-set enumeration.  The
-projection oracle scores a dense grid over the correction coefficients,
-filtered by raw cone membership; the grid is evaluated on its separable
-axes, one constraint row at a time, and never materialized as a point
-array.  It then refines the best feasible point with bisection-style
-geometric passes (shrinking along the ray to the feasibility boundary,
-alternating halfspace projections, and exact one-dimensional minimization
-along the edges and facets active at the point, then along a fixed
-direction set, each line solved by interval arithmetic on the
-constraints).  The tangent-cone oracle tests the sequential definition
-directly with difference quotients.
+projection oracle seeds each convex branch with a feasible point from a
+chain of independent methods: Dykstra's alternating halfspace projections
+in the correction metric; where their sweeps stall, a dense grid over the
+correction coefficients, scored on its separable axes one constraint row at
+a time and never materialized; and, where the grid misses too, a
+max-margin LP.  It then refines the seed by exact one-dimensional
+minimization along the ray, along the Newton step projected onto each
+facet active at the point and along the edges where they meet, each line
+solved by interval arithmetic on the constraints.  The tangent-cone oracle
+tests the sequential definition directly with difference quotients.
 
 It may be orders of magnitude slower than the main solvers; that is fine.
 """
@@ -19,7 +19,6 @@ It may be orders of magnitude slower than the main solvers; that is fine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, mul, sub
 
 import numpy as np
@@ -28,41 +27,9 @@ from .errors import NoFeasiblePoint
 from .geometry import ConstraintSet, PolyhedralCone, Sector, _as_vector
 from .projection import ProjectionSubspace
 
-_GRID_DEFAULTS = {1: 2001, 2: 201, 3: 51}
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Grid geometry for the projection oracle.
-
-    ``eta_box_halfwidth`` defaults to 10 * (1 + |v|); grid points per
-    dimension default to 2001 / 201 / 51 for n_E = 1 / 2 / 3.
-    """
-
-    eta_box_halfwidth: float | None = None
-    grid_points_per_dim: int | None = None
-    refine_iters: int = 60
-
-    def __post_init__(self):
-        if self.grid_points_per_dim is not None and self.grid_points_per_dim < 3:
-            raise ValueError("grid_points_per_dim must be at least 3")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be at least 1")
-
-    def resolve(self, n_e: int, v_norm: float) -> tuple[float, int]:
-        hw = self.eta_box_halfwidth
-        if hw is None:
-            hw = 10.0 * (1.0 + v_norm)
-        pts = self.grid_points_per_dim
-        if pts is None:
-            pts = _GRID_DEFAULTS[n_e]
-        return float(hw), int(pts)
-
-
-def _basis_of(E) -> np.ndarray:
-    if isinstance(E, ProjectionSubspace):
-        return E.basis
-    return np.atleast_2d(np.asarray(E, dtype=float))
+# Grid points per axis for n_E = 1 / 2 / 3, and exact-line-search passes.
+_GRID_POINTS = {1: 2001, 2: 201, 3: 51}
+_REFINE_ITERS = 60
 
 
 def _is_feasible(eta: np.ndarray, G: np.ndarray, g: np.ndarray, slack: float) -> bool:
@@ -93,27 +60,15 @@ def _grid_incumbent(G, g, Q, n_e, halfwidth, pts, slack):
     return cand[int(np.argmin(obj))]
 
 
-def _ray_shrink(eta, G, g, slack, iters):
-    """Smallest t in [0,1] with t*eta feasible; valid because the feasible
-    set is convex, so {t : t*eta feasible} is an interval containing 1."""
-    if _is_feasible(np.zeros_like(eta), G, g, slack):
-        return np.zeros_like(eta)
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if _is_feasible(mid * eta, G, g, slack):
-            hi = mid
-        else:
-            lo = mid
-    return hi * eta
-
-
 def _lp_feasible_seed(G, g):
     """Deep feasible seed by maximizing the row-scaled margin (capped at 1).
 
-    Used only when both the grid and the alternating projections miss the
-    feasible set (wedges with very small opening angles); the seed merely
-    starts the geometric refinement, which owns optimality.
+    The last rung of the seed chain, used only when Dykstra stalls outside
+    the feasible set and the grid misses it at both box sizes (wedges with
+    very small opening angles, far from the origin).  The seed merely
+    starts the geometric refinement, which owns optimality; None means the
+    branch is infeasible.  scipy.optimize is imported here, so a pass that
+    never reaches this rung never loads it.
     """
     import scipy.optimize
 
@@ -132,34 +87,6 @@ def _lp_feasible_seed(G, g):
     if margin < -1e-9:
         return None
     return eta
-
-
-def _pocs_feasible(G, g, Q, max_iters=3_000):
-    """Feasible point by alternating halfspace projections in the Q-metric.
-
-    Rescues feasible sets too narrow or too far out for the grid to hit:
-    projections onto the most violated halfspace converge to the polyhedron
-    whenever it is nonempty.  Returns None when the iteration stalls
-    infeasible, which is the genuine-infeasibility signal.
-    """
-    k, n_e = G.shape
-    if k == 0:
-        return np.zeros(n_e)
-    Qinv = np.linalg.inv(Q)
-    aQ = (Qinv @ G.T).T
-    denom = np.maximum(np.einsum("ij,ij->i", G, aQ), 1e-30)
-    rownorm = np.linalg.norm(G, axis=1)
-    x = np.zeros(n_e)
-    for _ in range(max_iters):
-        viol = g - G @ x
-        # Row-scaled tolerance: large iterates carry proportional roundoff.
-        tol = 1e-12 * (1.0 + np.abs(g) + rownorm * np.linalg.norm(x))
-        j = int(np.argmax(viol - tol))
-        if viol[j] <= tol[j]:
-            return x
-        x = x + (viol[j] / denom[j]) * aQ[j]
-    tol = 1e-11 * (1.0 + np.abs(g) + rownorm * np.linalg.norm(x))
-    return x if np.all(G @ x >= g - tol) else None
 
 
 def _dykstra(G, g, Q, max_sweeps=6000):
@@ -207,46 +134,15 @@ def _dykstra(G, g, Q, max_sweeps=6000):
     return x
 
 
-def _null_directions(rows: np.ndarray, n_e: int) -> list[np.ndarray]:
-    """Tangent directions of active facets, built by elementary geometry:
-    in 3-D the edges of active row pairs first, since a facet tangent taken
-    on an edge steps off it, then nullspace vectors of single rows."""
+def _edge_directions(rows: np.ndarray) -> list[np.ndarray]:
+    """Directions of the edges where two of the given 3-D facets meet."""
     dirs: list[np.ndarray] = []
-    if n_e == 3:
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                t = np.cross(rows[i], rows[j])
-                if np.linalg.norm(t) > 1e-12:
-                    dirs.append(t / np.linalg.norm(t))
-    for a in rows:
-        na = np.linalg.norm(a)
-        if na < 1e-14:
-            continue
-        u = a / na
-        if n_e == 2:
-            dirs.append(np.array([-u[1], u[0]]))
-        elif n_e == 3:
-            for e in np.eye(3):
-                t = e - (e @ u) * u
-                if np.linalg.norm(t) > 1e-8:
-                    dirs.append(t / np.linalg.norm(t))
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            t = np.cross(rows[i], rows[j])
+            if np.linalg.norm(t) > 1e-12:
+                dirs.append(t / np.linalg.norm(t))
     return dirs
-
-
-def _direction_set(n_e: int) -> np.ndarray:
-    """Axes plus all +-1 diagonal patterns (one representative per line)."""
-    dirs = list(np.eye(n_e))
-    if n_e >= 2:
-        grids = np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * n_e), indexing="ij")
-        pats = np.column_stack([m.ravel() for m in grids])
-        for p in pats:
-            nz = np.flatnonzero(p)
-            if len(nz) < 2:
-                continue
-            if p[nz[0]] < 0:  # antipodal representative
-                continue
-            dirs.append(p / np.linalg.norm(p))
-    return np.array(dirs)
 
 
 def _line_min(eta, d, G, g, Q):
@@ -276,55 +172,34 @@ def _line_min(eta, d, G, g, Q):
     return min(max(topt, tmin), tmax)
 
 
-def _gradient_directions(eta, G, active, Q, n_e) -> list[np.ndarray]:
-    """Steepest descent and its projections onto active-facet tangent spaces.
+def _local_directions(eta, G, g, Q) -> list[np.ndarray]:
+    """Line directions that belong to the point.
 
-    Adapting directions to the objective avoids the zigzag stalls that a
-    fixed axis set suffers on tilted facets.
+    The ray first, along which the Newton step -eta runs; then -eta
+    projected in the Q-metric onto each nearly active facet, so that one
+    exact line search reaches the facet's own minimizer however
+    ill-conditioned Q is, where Euclidean descent zigzags; then, in 3-D,
+    the edges where two of those facets meet.
     """
-    grad = Q @ eta
-    ng = np.linalg.norm(grad)
-    if ng < 1e-16:
-        return []
-    dirs = [-grad / ng]
-    rows = G[active]
-    for a in rows:
-        na = np.linalg.norm(a)
-        if na < 1e-14:
-            continue
-        u = a / na
-        d = -grad + (grad @ u) * u
-        nd = np.linalg.norm(d)
-        if nd > 1e-12 * ng:
-            dirs.append(d / nd)
-    if n_e == 3 and rows.shape[0] >= 2:
-        for i in range(rows.shape[0]):
-            for j in range(i + 1, rows.shape[0]):
-                t = np.cross(rows[i], rows[j])
-                nt = np.linalg.norm(t)
-                if nt > 1e-12:
-                    t = t / nt
-                    if float(t @ grad) > 0:
-                        t = -t
-                    dirs.append(t)
-    return dirs
-
-
-def _local_directions(eta, G, g, Q, n_e) -> list[np.ndarray]:
-    """Directions that belong to the point: tangents of its nearly active
-    facets, steepest descent and its facet projections, and the ray."""
-    if G.shape[0]:
-        # Loose activity cut: tangents of nearly-active rows are cheap
-        # and rescue points parked just inside a facet.
-        scale = 1.0 + np.abs(g) + np.linalg.norm(G, axis=1) * np.linalg.norm(eta)
-        active = np.abs(G @ eta - g) <= 1e-6 * scale
-    else:
-        active = np.zeros(0, bool)
-    dirs = _null_directions(G[active], n_e) + _gradient_directions(eta, G, active, Q, n_e)
+    # Loose activity cut: directions of nearly-active rows are cheap and
+    # rescue points parked just inside a facet.  A zero row bounds no facet.
+    rn = np.linalg.norm(G, axis=1)
+    scale = 1.0 + np.abs(g) + rn * np.linalg.norm(eta)
+    rows = G[(np.abs(G @ eta - g) <= 1e-6 * scale) & (rn > 1e-14)]
+    dirs = []
     nrm = np.linalg.norm(eta)
     if nrm > 1e-14:
         dirs.append(eta / nrm)
-    return dirs
+    for a in rows:
+        qa = np.linalg.solve(Q, a)
+        d = -eta + (a @ eta) / (a @ qa) * qa
+        # Cancellation tilts d off the facet, which _line_min would read
+        # as crossing it and block the step.
+        d -= (a @ d) / (a @ a) * a
+        nd = np.linalg.norm(d)
+        if nd > 1e-14 * (1.0 + nrm):
+            dirs.append(d / nd)
+    return dirs + (_edge_directions(rows) if G.shape[1] == 3 else [])
 
 
 def _line_pass(eta, obj, dirs, G, g, Q):
@@ -342,72 +217,61 @@ def _line_pass(eta, obj, dirs, G, g, Q):
     return eta, obj, improved
 
 
-def _refine(eta, G, g, Q, n_e, iters):
-    """Exact line searches until no direction improves the objective.
+def _refine(eta, G, g, Q):
+    """Exact line searches until no local direction improves the objective.
 
-    Local directions are retaken after every pass that moved the point, so
-    the search walks from a facet to an edge to a vertex; the fixed set
-    runs only when they stall.  Local directions of a point the search has
-    already left zigzag down a thin wedge and stop short of its apex.
+    The directions are retaken after every pass, so the search walks from
+    the interior to a facet, an edge and a vertex.  Directions of a point
+    the search has already left zigzag down a thin wedge and stop short of
+    its apex.
     """
-    base_dirs = _direction_set(n_e)
     obj = float(eta @ Q @ eta)
-    for _ in range(iters):
-        eta, obj, slid = _line_pass(eta, obj, _local_directions(eta, G, g, Q, n_e), G, g, Q)
-        if slid:
-            continue
-        eta, obj, moved = _line_pass(eta, obj, base_dirs, G, g, Q)
+    for _ in range(_REFINE_ITERS):
+        eta, obj, moved = _line_pass(eta, obj, _local_directions(eta, G, g, Q), G, g, Q)
         if not moved:
             break
     return eta
 
 
-def _solve_convex(G, g, Q, n_e, halfwidth, pts, refine_iters):
-    """Grid search plus refinement for one convex branch.
+def _solve_convex(G, g, Q, n_e, halfwidth):
+    """One convex branch: the first feasible seed of the chain Dykstra,
+    grid, LP, refined by exact line searches; None if the branch is
+    infeasible.
 
-    When the grid (after one box doubling, handled by the caller via two
-    half-widths) misses a narrow feasible wedge, a projection-based
-    feasibility fallback seeds the refinement instead; None means the
-    branch is genuinely infeasible.
+    Dykstra's iterate is taken when it meets every row to within
+    1e-12 (1 + max|g|).  Otherwise its sweeps stalled, and the grid seeds
+    the branch, on the default box and then on one twice as wide; the LP
+    seeds it only when the grid misses both.
     """
-    slack = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
-    eta = None
-    for hw in (halfwidth, 2.0 * halfwidth):
-        eta = _grid_incumbent(G, g, Q, n_e, hw, pts, slack)
-        if eta is not None:
-            break
-    if eta is None:
-        eta = _pocs_feasible(G, g, Q)
-    if eta is None:
-        eta = _lp_feasible_seed(G, g)
+    eta = _dykstra(G, g, Q)
+    if not _is_feasible(eta, G, g, 1e-12 * (1.0 + np.max(np.abs(g), initial=1.0))):
+        slack = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
+        eta = _grid_incumbent(G, g, Q, n_e, halfwidth, _GRID_POINTS[n_e], slack)
+        if eta is None:
+            eta = _grid_incumbent(G, g, Q, n_e, 2.0 * halfwidth, _GRID_POINTS[n_e], slack)
+        if eta is None:
+            eta = _lp_feasible_seed(G, g)
         if eta is None:
             return None
-    eta = _ray_shrink(eta, G, g, 0.0, refine_iters)
-    if n_e >= 2 and G.shape[0] > 0:
-        cand = _dykstra(G, g, Q)
-        if _is_feasible(cand, G, g, 1e-12 * (1.0 + np.max(np.abs(g), initial=1.0))):
-            if float(cand @ Q @ cand) < float(eta @ Q @ eta):
-                eta = cand
-    eta = _refine(eta, G, g, Q, n_e, refine_iters)
-    return eta
+    return _refine(eta, G, g, Q)
 
 
-def oracle_project(cone: PolyhedralCone, E, v, cfg: OracleConfig | None = None) -> np.ndarray:
-    """Reference partial projection by dense grid plus geometric refinement.
+def oracle_project(cone: PolyhedralCone, E: ProjectionSubspace, v) -> np.ndarray:
+    """Reference partial projection: a feasible seed, then exact line searches.
 
-    Accepts convex cones and union-tagged sector tangents; for a union the
-    branches are solved separately and the smaller correction wins.  Raises
-    NoFeasiblePoint when neither the grid (after one box doubling) nor the
-    projection/LP feasibility fallbacks reach the feasible set, which
-    distinguishes genuine infeasibility from a too-small box.
+    Each convex branch is seeded by Dykstra's alternating projections, or,
+    where they stall, by a dense grid on the box |eta_i| <= 10 (1 + |v|)
+    (doubled once if it misses) or a max-margin LP; see ``_solve_convex``.
+    For a union-tagged sector tangent the branches are solved separately
+    and the smaller correction wins.  Raises NoFeasiblePoint when no
+    branch yields a seed, which means the problem is infeasible.
     """
-    cfg = cfg or OracleConfig()
-    Eb = _basis_of(E)
+    Eb = E.basis
     v = _as_vector(v, Eb.shape[0])
     n_e = Eb.shape[1]
     if n_e > 3:
         raise ValueError("the oracle supports n_E <= 3")
-    halfwidth, pts = cfg.resolve(n_e, float(np.linalg.norm(v)))
+    halfwidth = 10.0 * (1.0 + float(np.linalg.norm(v)))
     Q = Eb.T @ Eb
 
     branches = [cone] if cone.convex else list(cone.parts)
@@ -416,7 +280,7 @@ def oracle_project(cone: PolyhedralCone, E, v, cfg: OracleConfig | None = None) 
     for branch in branches:
         G = branch.rows @ Eb
         g = -(branch.rows @ v)
-        eta = _solve_convex(G, g, Q, n_e, halfwidth, pts, cfg.refine_iters)
+        eta = _solve_convex(G, g, Q, n_e, halfwidth)
         if eta is None:
             continue
         obj = float(eta @ Q @ eta)
@@ -424,8 +288,8 @@ def oracle_project(cone: PolyhedralCone, E, v, cfg: OracleConfig | None = None) 
             best, best_obj = eta, obj
     if best is None:
         raise NoFeasiblePoint(
-            "no feasible correction found by the grid (after doubling the box) "
-            "or the feasibility fallback"
+            "no feasible correction found by Dykstra's projections, the grid "
+            "(after doubling the box) or the LP seed"
         )
     return v + Eb @ best
 

@@ -33,6 +33,17 @@ from .projection import (
     sector_subspace,
 )
 
+# Largest |w_solver - w_oracle| that counts as agreement.
+_MISMATCH_TOL = 1e-6
+# Random sector-origin projections checked for branch contradictions.
+_SECTOR_ORIGIN_COUNT = 1_000
+# Well-posed instances are feasible with |eta_i| <= _BOUND_FACTOR (1 + |v|).
+_BOUND_FACTOR = 30.0
+# Grid resolutions of the Krasovskii equality check (the first also serves
+# the sector sweep) and its witness distance.
+_RESOLUTIONS = (0.02, 0.01)
+_WITNESS_TOL = 1e-6
+
 
 def random_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
     """k independent unit rows in R^n (resampled until well conditioned)."""
@@ -66,9 +77,7 @@ def random_projection_instance(
     return cone, E, v
 
 
-def well_posed_instance(
-    cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray, bound_factor: float = 30.0
-) -> bool:
+def well_posed_instance(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray) -> bool:
     """Numerical well-posedness screen for the equivalence suite.
 
     Rejects instances whose candidate active subsets are nearly singular in
@@ -90,20 +99,14 @@ def well_posed_instance(
     # Feasibility within the correction box |eta_i| <= bound, whose faces
     # are 2 n_E more rows of the same phase-1 problem.
     g = -(cone.rows @ v)
-    bound = bound_factor * (1.0 + float(np.linalg.norm(v)))
+    bound = _BOUND_FACTOR * (1.0 + float(np.linalg.norm(v)))
     eye = np.eye(n_e)
     rows = np.vstack([Gn, eye, -eye])
     rhs = np.concatenate([g / rn, np.full(2 * n_e, -bound)])
     return bool(_phase1(rows, rhs) <= 1e-9)
 
 
-def verify_projection(
-    count: int = 10_000,
-    seed: int = 0,
-    max_dim: int = 6,
-    tol: float = 1e-6,
-    sector_origin_count: int = 1_000,
-) -> dict:
+def verify_projection(count: int = 10_000, seed: int = 0, max_dim: int = 6) -> dict:
     """Solver-versus-oracle equivalence plus the uniqueness properties.
 
     Feasible random instances are compared in |w|; infeasible draws are
@@ -146,14 +149,14 @@ def verify_projection(
                 "basis": E.basis.tolist(),
                 "v": v.tolist(),
             }
-        if disc > tol:
+        if disc > _MISMATCH_TOL:
             mismatches += 1
         if res.n_distinct_optima != 1:
             singleton_violations += 1
 
     branch_contradictions = 0
     sec_rng = np.random.default_rng(seed + 1)
-    for _ in range(sector_origin_count):
+    for _ in range(_SECTOR_ORIGIN_COUNT):
         k1 = float(sec_rng.uniform(-2.0, 2.0))
         k2 = k1 + float(sec_rng.uniform(0.1, 3.0))
         sec = Sector(k1, k2)
@@ -170,14 +173,14 @@ def verify_projection(
         "skipped_ill_posed": skipped_ill_posed,
         "mismatches": mismatches,
         "max_discrepancy": max_disc,
-        "tolerance": tol,
+        "tolerance": _MISMATCH_TOL,
         "singleton_violations": singleton_violations,
-        "sector_origin_cases": sector_origin_count,
+        "sector_origin_cases": _SECTOR_ORIGIN_COUNT,
         "branch_contradictions": branch_contradictions,
         "worst_case": worst,
         "seed": seed,
         "elapsed_s": elapsed,
-        "instances_per_s": (cases + sector_origin_count) / elapsed,
+        "instances_per_s": (cases + _SECTOR_ORIGIN_COUNT) / elapsed,
     }
 
 
@@ -217,16 +220,11 @@ def random_boundary_instance(rng: np.random.Generator):
     return cset, x, E, f
 
 
-def verify_krasovskii(
-    count: int = 1_000,
-    seed: int = 0,
-    resolutions: tuple[float, float] = (0.02, 0.01),
-    witness_tol: float = 1e-6,
-) -> dict:
+def verify_krasovskii(count: int = 1_000, seed: int = 0) -> dict:
     """Equality sweep over regular sets and the sector failure pattern.
 
     Regular finitely generated instances under (CQ) and feasibility must
-    verify the equality at every listed resolution.  Sector sweeps expect
+    verify the equality at both grid resolutions.  Sector sweeps expect
     equality at every non-corner boundary point and at the corner with zero
     e-velocity, and failure at the corner whenever the e-velocity is
     nonzero (the hull then covers a whole admissible-velocity segment).
@@ -251,8 +249,8 @@ def verify_krasovskii(
         hull = krasovskii_vertices(cset, E, x, f)
         pi = project_partial(cone, E, f)
         holds = []
-        for res in resolutions:
-            rep = verify_equality(hull, cone, pi, res, witness_tol)
+        for res in _RESOLUTIONS:
+            rep = verify_equality(hull, cone, pi, res, _WITNESS_TOL)
             holds.append(rep.holds)
         if not all(holds):
             finite_failures += 1
@@ -295,7 +293,7 @@ def verify_krasovskii(
         hull = sector_krasovskii_vertices(sec, s, w)
         pi = sector_project(sec, s, w)
         T = sector_tangent_cone(sec, s)
-        rep = verify_equality(hull, T, pi, resolutions[0], witness_tol)
+        rep = verify_equality(hull, T, pi, _RESOLUTIONS[0], _WITNESS_TOL)
         if rep.holds != expected:
             pattern_mismatches += 1
 
@@ -304,7 +302,7 @@ def verify_krasovskii(
         "finite_cases": finite_cases,
         "finite_failures": finite_failures,
         "grid_disagreements": grid_disagreements,
-        "resolutions": list(resolutions),
+        "resolutions": list(_RESOLUTIONS),
         "sector_cases": sector_cases,
         "sector_corner_nonzero_edot": corner_nonzero,
         "sector_corner_zero_edot": corner_zero,

@@ -92,7 +92,7 @@ def test_criterion_2_singleton_uniqueness(projection_suite):
 
 
 def test_criterion_3_krasovskii_equality_regular_sets():
-    rep = verify_krasovskii(count=1_000, seed=42, resolutions=(0.02, 0.01))
+    rep = verify_krasovskii(count=1_000, seed=42)
     ok = (
         rep["finite_cases"] >= 1_000
         and rep["finite_failures"] == 0

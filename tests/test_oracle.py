@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,29 +11,24 @@ from hypothesis import strategies as st
 from epds import (
     ConstraintSet,
     NoFeasiblePoint,
-    OracleConfig,
     PolyhedralCone,
     ProjectionSubspace,
     Sector,
     affine_constraint,
     oracle_project,
     oracle_tangent_membership,
+    project_partial,
     sector_tangent_cone,
 )
-from epds.oracle import _GRID_DEFAULTS, _dykstra, _grid_incumbent
-from epds.verify import random_projection_instance
+from epds import oracle
+from epds.oracle import _GRID_POINTS, _dykstra, _grid_incumbent
+from epds.projection import feasible
+from epds.verify import random_projection_instance, well_posed_instance
 from conftest import unit_disk
 
 
 def vertical():
     return ProjectionSubspace.from_columns([[0.0, 1.0]])
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(grid_points_per_dim=2)
-    with pytest.raises(ValueError):
-        OracleConfig(refine_iters=0)
 
 
 def test_oracle_zero_correction():
@@ -42,6 +40,11 @@ def test_oracle_one_dimensional_clamp():
     cone = PolyhedralCone(dim=2, rows=np.eye(2))
     w = oracle_project(cone, vertical(), [1.0, -1.0])
     assert np.linalg.norm(w - [1.0, 0.0]) <= 1e-6
+    # Row 0 is orthogonal to E and tight at v: a zero row in correction
+    # coordinates, which bounds no facet.
+    with np.errstate(all="raise"):
+        w = oracle_project(cone, vertical(), [0.0, -1.0])
+    assert np.linalg.norm(w) <= 1e-6
 
 
 def test_oracle_sector_origin_union():
@@ -54,9 +57,6 @@ def test_oracle_sector_origin_union():
 
 
 def test_oracle_never_returns_infeasible(rng):
-    from epds.verify import random_projection_instance
-    from epds.projection import feasible
-
     for _ in range(60):
         cone, E, v = random_projection_instance(rng, max_dim=5)
         if not feasible(cone, E, v):
@@ -71,25 +71,92 @@ def test_oracle_reports_genuine_infeasibility():
         oracle_project(halfplane, vertical(), [-1.0, 0.0])
 
 
-def test_oracle_grid_halving_is_consistent():
-    # doubling the resolution moves the answer by less than the coarse spacing
-    cone = PolyhedralCone(dim=3, rows=np.array([[1.0, 0.2, -0.3], [0.1, 1.0, 0.4]]))
-    E = ProjectionSubspace.from_columns([[1.0, 0.0, 0.0], [0.0, 1.0, 0.3]])
-    v = np.array([-1.0, -2.0, 0.5])
-    hw = 10.0 * (1 + np.linalg.norm(v))
-    coarse = oracle_project(cone, E, v, OracleConfig(grid_points_per_dim=51))
-    fine = oracle_project(cone, E, v, OracleConfig(grid_points_per_dim=101))
-    spacing = 2 * hw / 50
-    assert np.linalg.norm(coarse - fine) <= 2 * spacing * np.linalg.norm(E.basis, 2)
+class _RungForbidden(Exception):
+    pass
 
 
-def test_oracle_box_doubling_reaches_far_optima():
-    # optimum far outside the default box: correction must travel ~40 units
-    cone = PolyhedralCone(dim=2, rows=np.array([[0.0, 1.0]]))
-    E = vertical()
-    v = np.array([1.0, -40.0])
-    w = oracle_project(cone, E, v, OracleConfig(eta_box_halfwidth=25.0))
-    assert np.linalg.norm(w - [1.0, 0.0]) <= 1e-6
+def _stall_dykstra(monkeypatch):
+    monkeypatch.setattr(oracle, "_dykstra", lambda G, g, Q: np.full(G.shape[1], np.nan))
+
+
+def _forbid(monkeypatch, name):
+    def forbidden(*args):
+        raise _RungForbidden(name)
+
+    monkeypatch.setattr(oracle, name, forbidden)
+
+
+def test_oracle_box_doubling_reaches_far_optima(monkeypatch):
+    # The correction must travel 30 units; the default box has half-width
+    # 10 (1 + |v|) = 20, so only the doubled box holds a feasible grid point.
+    _stall_dykstra(monkeypatch)
+    _forbid(monkeypatch, "_lp_feasible_seed")
+    cone = PolyhedralCone(dim=2, rows=np.array([[1.0, 1.0 / 30.0]]))
+    v = np.array([-1.0, 0.0])
+    G, g = cone.rows @ vertical().basis, -(cone.rows @ v)
+    assert _grid_incumbent(G, g, np.eye(1), 1, 20.0, _GRID_POINTS[1], 0.0) is None
+    w = oracle_project(cone, vertical(), v)
+    assert np.linalg.norm(w - [-1.0, 30.0]) <= 1e-6
+
+
+# Verification draws (n_E = 2) on which -eta projected onto a facet came out
+# tilted off it by roundoff, so that the walk stopped 0.055 (grid seed) and
+# 0.058 (LP seed) short of the optimum: (rows, basis, v).
+TILTED_FACET = [
+    (
+        [[-0.998702618763859, -0.05092228661607679]],
+        [[-0.6199416886147591, 1.4311299868320657], [-1.1556662251716754, 0.2729932872639915]],
+        [2.791443918015038, 2.2517478035086422],
+    ),
+    (
+        [
+            [-0.38372224061244814, -0.07497467232379305, -0.9085840965420536, 0.147006734812261],
+            [0.49534958860497447, -0.6317614092102076, 0.5958654807226892, 0.021228183736103173],
+            [-0.5980791626729732, 0.24098496917138398, -0.4480590848024605, -0.6192500434685846],
+            [0.7497321065351086, -0.6460072237623011, 0.12811366176078834, 0.06452383240009214],
+        ],
+        [
+            [0.20905117419337965, -0.15515666997102415],
+            [1.3481270419872464, 0.8338936784498697],
+            [-0.05149615219323181, 0.9398001194128122],
+            [-0.585772691462154, 0.5060138197171782],
+        ],
+        [-4.0734022553576805, 1.746294402635628, -0.5725463453960613, -3.804620688709823],
+    ),
+]
+
+
+@pytest.mark.parametrize("rung", ["grid", "lp"])
+def test_oracle_fallback_seed_matches_solver(monkeypatch, rung):
+    """Each fallback rung, seeding alone, gives the solver's projection.
+
+    Dykstra is made to stall on every branch.  The grid rung runs with the
+    LP forbidden; a draw whose feasible set lies outside both grid boxes
+    belongs to the LP rung and is skipped.  The LP rung runs with the grid
+    made to miss.
+    """
+    _stall_dykstra(monkeypatch)
+    if rung == "grid":
+        _forbid(monkeypatch, "_lp_feasible_seed")
+    else:
+        monkeypatch.setattr(oracle, "_grid_incumbent", lambda *args: None)
+    fixed = [
+        (PolyhedralCone(len(v), np.array(A)), ProjectionSubspace(len(v), np.array(E)), np.array(v))
+        for A, E, v in TILTED_FACET
+    ]
+    rng = np.random.default_rng(7)
+    draws = [random_projection_instance(rng) for _ in range(80)]
+    checked = {1: 0, 2: 0, 3: 0}
+    for cone, E, v in fixed + draws:
+        if not (feasible(cone, E, v) and well_posed_instance(cone, E, v)):
+            continue
+        try:
+            w = oracle_project(cone, E, v)
+        except _RungForbidden:
+            continue
+        assert np.linalg.norm(w - project_partial(cone, E, v).w) <= 1e-6
+        checked[E.n_e] += 1
+    assert min(checked.values()) >= 10, checked
 
 
 # Verification draws whose optimum is a vertex the line refinement must walk
@@ -157,11 +224,34 @@ WALK_TO_VERTEX = {
         [-0.22660217225259943, -0.842188543418526, -0.5298709516556573],
         [0, 1, 2],
     ),
+    # Dykstra stalls here, and the optimum (|eta| ~ 77) lies outside the
+    # default grid box of half-width 68.5: the doubled box seeds the walk.
+    # One of the branches in verify-projection at seeds 0..59 that the
+    # doubled box seeds (seed 51).
+    "doubled-box-vertex": (
+        [
+            [-0.2969088837417139, 0.9290178282824356, 0.22084154837492972],
+            [-0.5953961790004542, -0.665023116438802, 0.4508299509057521],
+            [0.6327543661830928, -0.751677528300123, 0.18601829352203536],
+        ],
+        [
+            [-1.2769628620867852, -0.16407821421051208],
+            [-0.18836919678074368, 0.7845558904999278],
+            [1.1235997967880262, -0.35280376733036534],
+        ],
+        [-3.8722211220122826, 1.4704009672474754, -4.128657819149254],
+        [0, 2],
+    ),
 }
+# Entries whose feasible set lies outside both grid boxes; every other
+# entry is walked from a grid seed with the LP forbidden.
+LP_SEEDED = {"far-vertex"}
 
 
 @pytest.mark.parametrize("name", sorted(WALK_TO_VERTEX))
-def test_oracle_walks_to_vertex(name):
+def test_oracle_walks_to_vertex(monkeypatch, name):
+    if name not in LP_SEEDED:
+        _forbid(monkeypatch, "_lp_feasible_seed")
     rows, basis, v, tight = (np.array(a) for a in WALK_TO_VERTEX[name])
     G, g = rows @ basis, -(rows @ v)
     vertex = np.linalg.solve(G[tight], g[tight])
@@ -207,7 +297,7 @@ def test_grid_incumbent_matches_meshgrid_reference(n_e, m, rank, g_scale, seed):
     Q = A.T @ A
     hw = float(rng.uniform(1.0, 20.0))
     slack = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
-    pts = _GRID_DEFAULTS[n_e]
+    pts = _GRID_POINTS[n_e]
     ref = _grid_incumbent_reference(G, g, Q, n_e, hw, pts, slack)
     eta = _grid_incumbent(G, g, Q, n_e, hw, pts, slack)
     assert (ref is None) == (eta is None)
@@ -257,16 +347,15 @@ def test_dykstra_float_sweep_matches_reference():
     tolerance on all of these.
     """
     rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 150:
+    checked = {1: 0, 2: 0, 3: 0}
+    while sum(checked.values()) < 150:
         cone, E, v = random_projection_instance(rng)
-        if E.n_e < 2:
-            continue
         G, g, Q = cone.rows @ E.basis, -(cone.rows @ v), E.basis.T @ E.basis
         ref, _ = _dykstra_reference(G, g, Q)
         x = _dykstra(G, g, Q)
         assert np.linalg.norm(x - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
-        checked += 1
+        checked[E.n_e] += 1
+    assert min(checked.values()) >= 30
     # Wedge of half-angle 0.05 rad with its apex at (5, 0), where the
     # projection of the origin lands: the reference needs 2963 sweeps.
     t = math.tan(0.05)
@@ -276,6 +365,22 @@ def test_dykstra_float_sweep_matches_reference():
     x = _dykstra(G, g, np.eye(2))
     assert np.linalg.norm(x - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
     assert np.linalg.norm(x - [5.0, 0.0]) <= 1e-9
+
+
+def test_verify_projection_pass_does_not_load_highs():
+    # At seed 9 every oracle branch is seeded by Dykstra or the grid, so the
+    # pass never imports scipy.optimize for the LP seed, whose import would
+    # add to the pass's time and memory.
+    code = (
+        "import sys\n"
+        "from epds.verify import verify_projection\n"
+        "assert verify_projection(150, seed=9)['mismatches'] == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tangent_membership_examples():
