@@ -5,13 +5,13 @@ The operator solves
     min |E eta|   subject to   A (v + E eta) >= 0
 
 and returns w = v + E eta*, the minimal-norm correction of v into the cone
-with the correction restricted to Im E.  Candidate active subsets of the
+with the correction restricted to Im E.  It is solved in the orthonormal
+basis U of Im E that ``ProjectionSubspace`` keeps, where the metric is the
+identity whatever the conditioning of E.  Candidate active supports of the
 cone rows are enumerated exhaustively (instances are tiny, so exactness and
-determinism beat asymptotics): for each subset the equality-constrained
-least-squares KKT system is solved, and the subset is accepted when the
-remaining rows are primal feasible and the multipliers have the right sign.
+determinism beat asymptotics), with one stacked KKT solve per support size.
 Under row independence and feasibility the optimum is unique, so the first
-passing subset is returned; all passing subsets are still collected so
+passing support is returned; all passing supports are still collected so
 callers can check uniqueness.
 
 The sector path has a closed form at the origin: per branch, the admissible
@@ -28,7 +28,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchContradiction, Infeasible, DegenerateKKT, NotInSet, RankDeficient
 from .geometry import (
@@ -50,8 +49,11 @@ EPS_DUP = 1e-9
 class ProjectionSubspace:
     """Subspace of admissible correction directions, Im E.
 
-    ``basis`` is an (ambient_dim x n_E) matrix with linearly independent
-    columns, checked by singular values at construction.
+    ``basis`` is an (ambient_dim x n_E) matrix E with linearly independent
+    columns, checked by singular values at construction.  That SVD,
+    E = U S V^T, also gives the solver's coordinates: ``_u`` is U, an
+    orthonormal basis of Im E, and ``_to_e`` = V S^-1 maps coordinates
+    eta' in U to eta in E, so that U eta' = E eta.
     """
 
     ambient_dim: int
@@ -63,10 +65,12 @@ class ProjectionSubspace:
             raise ValueError("basis rows must match the ambient dimension")
         if E.shape[1] < 1:
             raise ValueError("the projection subspace must have n_E >= 1")
-        sv = np.linalg.svd(E, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
+        U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+        if sv.size < E.shape[1] or sv[-1] <= 1e-12 * sv[0]:
             raise RankDeficient("projection subspace basis is column rank deficient")
         object.__setattr__(self, "basis", _readonly(E))
+        object.__setattr__(self, "_u", _readonly(U))
+        object.__setattr__(self, "_to_e", _readonly(Vt.T / sv))
 
     @classmethod
     def full(cls, dim: int) -> "ProjectionSubspace":
@@ -91,10 +95,11 @@ def sector_subspace() -> ProjectionSubspace:
 class ProjectionResult:
     """Outcome of a partial projection.
 
-    w = v + E eta, with ``active_indices`` the cone rows tight at w,
-    ``branch`` one of 'none' / 'K' / 'minusK' (sector paths only) and
+    w = v + E eta, with ``eta`` in the coordinates of the caller's basis E,
+    ``correction_norm`` = |w - v|, ``active_indices`` the cone rows tight
+    at w, ``branch`` one of 'none' / 'K' / 'minusK' (sector paths only) and
     ``n_distinct_optima`` the number of distinct optima found among passing
-    subsets (must be 1; exposed for the uniqueness suite).
+    supports (must be 1; exposed for the uniqueness suite).
     """
 
     w: np.ndarray
@@ -110,14 +115,13 @@ class ProjectionResult:
 
 
 def _cone_matrices(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray):
-    """Reduced constraint data G eta >= g in correction coordinates."""
-    G = cone.rows @ E.basis
-    g = -(cone.rows @ v)
-    return G, g
+    """Reduced constraint data G eta' >= g in the orthonormal coordinates
+    eta' of Im E."""
+    return cone.rows @ E._u, -(cone.rows @ v)
 
 
 def _phase1_rows(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray):
-    """Rows Gn eta >= gn of the cone along v + Im E, each (Gn_i, gn_i)
+    """Rows Gn eta' >= gn of the cone along v + Im E, each (Gn_i, gn_i)
     scaled to unit norm so the slack threshold is scale-free."""
     G, g = _cone_matrices(cone, E, v)
     norms = np.maximum(np.linalg.norm(np.column_stack([G, g]), axis=1), 1e-30)
@@ -161,7 +165,7 @@ def _phase1(Gn: np.ndarray, gn: np.ndarray) -> float:
 def feasible(cone: PolyhedralCone, E: ProjectionSubspace, v) -> bool:
     """Whether the cone meets v + Im E, by a phase-1 feasibility problem.
 
-    Minimizes a single slack t with A(v + E eta) + t >= 0, t >= 0; the
+    Minimizes a single slack t with A(v + U eta') + t >= 0, t >= 0; the
     intersection is nonempty exactly when the optimal t (``_phase1``, exact
     for every n_E) is at most 1e-9 on the unit-normalized rows.  Union cones
     are out of contract here; the sector path handles them branch by branch.
@@ -169,38 +173,47 @@ def feasible(cone: PolyhedralCone, E: ProjectionSubspace, v) -> bool:
     if not cone.convex:
         raise ValueError("feasible() expects a convex cone")
     v = _as_vector(v, cone.dim)
-    if cone.n_rows == 0:
-        return True
     Gn, gn = _phase1_rows(cone, E, v)
     return bool(_phase1(Gn, gn) <= 1e-9)
 
 
-def _enumerate_kkt(G: np.ndarray, g: np.ndarray, Q2: np.ndarray):
-    """Yield (subset, eta, lam) for every consistent candidate subset."""
+def _kkt_optima(G: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Minimizers eta' of |eta'| over G eta' >= g, one row per passing
+    support, the supports in size-then-lexicographic order.
+
+    All supports S of one size solve [[2I, -G_S^T], [G_S, 0]] (eta', lam) =
+    (0, g_S) as one stack, by pseudo-inverse and one refinement step; the 2I
+    block sets the cutoff relative to the metric, so rows that vanish on
+    Im E up to roundoff are not inverted.  S passes when its system is
+    consistent, every row holds up to its own terms (so that no violation
+    is too small to be corrected) and the multipliers are nonnegative.
+    """
     k, n_e = G.shape
-    for size in range(k + 1):
-        for subset in itertools.combinations(range(k), size):
-            W = list(subset)
-            GW = G[W]
-            kkt = np.block(
-                [
-                    [Q2, -GW.T],
-                    [GW, np.zeros((size, size))],
-                ]
-            )
-            rhs = np.concatenate([np.zeros(n_e), g[W]])
-            # QR with column pivoting via gelsy; tolerant of dependent rows.
-            sol, *_ = scipy.linalg.lstsq(kkt, rhs, lapack_driver="gelsy")
-            if not np.all(np.isfinite(sol)):
-                continue
-            # One step of iterative refinement: recovers digits lost to
-            # ill-conditioned active subsets at negligible cost.
-            corr, *_ = scipy.linalg.lstsq(kkt, rhs - kkt @ sol, lapack_driver="gelsy")
-            if np.all(np.isfinite(corr)):
-                sol = sol + corr
-            if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-                continue  # inconsistent equality system for this subset
-            yield subset, sol[:n_e], sol[n_e:]
+    G_norms = np.linalg.norm(G, axis=1)
+    # The empty support's solution is eta' = 0, which passes iff A v >= 0.
+    optima = [np.zeros((int(np.all(g <= 0.0)), n_e))]
+    for size in range(1, k + 1):
+        S = _supports(k, size)
+        GS = G[S]
+        kkt = np.zeros((len(S), n_e + size, n_e + size))
+        kkt[:, :n_e, :n_e] = 2.0 * np.eye(n_e)
+        kkt[:, :n_e, n_e:] = -np.swapaxes(GS, 1, 2)
+        kkt[:, n_e:, :n_e] = GS
+        rhs = np.concatenate([np.zeros((len(S), n_e)), g[S]], axis=1)[:, :, None]
+        P = np.linalg.pinv(kkt)
+        sol = P @ rhs
+        sol += P @ (rhs - kkt @ sol)
+        resid = np.linalg.norm(kkt @ sol - rhs, axis=(1, 2))
+        eta, lam = sol[:, :n_e, 0], sol[:, n_e:, 0]
+        floor = np.abs(g) + np.outer(np.linalg.norm(eta, axis=1), G_norms)
+        lam_scale = np.maximum(1.0, np.abs(lam).max(axis=1))
+        ok = (
+            (resid <= 1e-8 * (1.0 + np.linalg.norm(rhs, axis=(1, 2))))
+            & np.all(eta @ G.T - g >= -1e-9 * floor, axis=1)
+            & (lam.min(axis=1) >= -EPS_DUAL * lam_scale)
+        )
+        optima.append(eta[ok])
+    return np.concatenate(optima)
 
 
 def project_partial(
@@ -217,49 +230,29 @@ def project_partial(
     v = _as_vector(v, cone.dim)
     if E.ambient_dim != cone.dim:
         raise ValueError("subspace and cone dimensions differ")
-    n_e = E.n_e
-    if cone.n_rows == 0:
-        return ProjectionResult(
-            w=v, eta=np.zeros(n_e), active_indices=(), correction_norm=0.0
-        )
-
     G, g = _cone_matrices(cone, E, v)
-    Q2 = 2.0 * (E.basis.T @ E.basis)
-    G_norms = np.linalg.norm(G, axis=1)
-    row_scale = 1.0 + np.abs(g) + G_norms
-
-    passing: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for subset, eta, lam in _enumerate_kkt(G, g, Q2):
-        slack = G @ eta - g
-        # Relative to the terms of each row only, so that no violation is
-        # too small to be corrected.
-        if np.any(slack < -1e-9 * (np.abs(g) + G_norms * np.linalg.norm(eta))):
-            continue
-        if lam.size and np.min(lam) < -EPS_DUAL * max(1.0, float(np.max(np.abs(lam)))):
-            continue
-        passing.append((subset, eta))
-
-    if not passing:
+    optima = _kkt_optima(G, g)
+    if not len(optima):
         if not feasible(cone, E, v):
             raise Infeasible("the cone does not meet v + Im E")
         raise DegenerateKKT("no active subset passed the KKT checks")
 
     # Distinct optima among passing subsets (unique under the preconditions).
-    ws = [v + E.basis @ eta for _, eta in passing]
+    ws = v + optima @ E._u.T
     distinct: list[np.ndarray] = []
     for w in ws:
         if all(np.linalg.norm(w - d) > EPS_DUP * (1.0 + np.linalg.norm(w)) for d in distinct):
             distinct.append(w)
 
-    subset, eta = passing[0]
-    w = ws[0]
+    eta = optima[0]
     slack = G @ eta - g
+    row_scale = 1.0 + np.abs(g) + np.linalg.norm(G, axis=1)
     act = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= 1e-8 * row_scale))
     return ProjectionResult(
-        w=w,
-        eta=eta,
+        w=ws[0],
+        eta=E._to_e @ eta,
         active_indices=act,
-        correction_norm=float(np.linalg.norm(E.basis @ eta)),
+        correction_norm=float(np.linalg.norm(eta)),
         n_distinct_optima=len(distinct),
     )
 

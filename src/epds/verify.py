@@ -7,7 +7,6 @@ ready for JSON serialization.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import numpy as np
@@ -27,6 +26,7 @@ from .oracle import oracle_project
 from .projection import (
     ProjectionSubspace,
     _phase1,
+    _supports,
     feasible,
     project_partial,
     sector_project,
@@ -81,9 +81,11 @@ def well_posed_instance(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarr
     """Numerical well-posedness screen for the equivalence suite.
 
     Rejects instances whose candidate active subsets are nearly singular in
-    correction coordinates, or that are feasible only with corrections far
-    beyond the problem scale: there the comparison's absolute tolerance is
-    below the attainable precision of any double-precision method.
+    the correction coordinates of E, or that are feasible only with
+    corrections far beyond the problem scale: there the comparison's
+    absolute tolerance is below the attainable precision of any
+    double-precision method.  Both tests stay in E's coordinates, where the
+    correction box is defined.
     """
     G = cone.rows @ E.basis
     rn = np.linalg.norm(G, axis=1)
@@ -91,11 +93,9 @@ def well_posed_instance(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarr
         return False
     Gn = G / rn[:, None]
     k, n_e = G.shape
-    for size in range(2, n_e + 1):
-        for subset in itertools.combinations(range(k), size):
-            sv = np.linalg.svd(Gn[list(subset)], compute_uv=False)
-            if sv[-1] < 1e-2:
-                return False
+    for size in range(2, min(k, n_e) + 1):
+        if np.linalg.svd(Gn[_supports(k, size)], compute_uv=False)[:, -1].min() < 1e-2:
+            return False
     # Feasibility within the correction box |eta_i| <= bound, whose faces
     # are 2 n_E more rows of the same phase-1 problem.
     g = -(cone.rows @ v)

@@ -367,15 +367,18 @@ def test_dykstra_float_sweep_matches_reference():
     assert np.linalg.norm(x - [5.0, 0.0]) <= 1e-9
 
 
-def test_verify_projection_pass_does_not_load_highs():
+def test_verify_passes_do_not_load_scipy():
     # At seed 9 every oracle branch is seeded by Dykstra or the grid, so the
-    # pass never imports scipy.optimize for the LP seed, whose import would
-    # add to the pass's time and memory.
+    # pass never imports scipy.optimize for the LP seed, and the solver path
+    # imports no scipy at all; the Krasovskii pass at seed 3 needs no hull
+    # reduction either.  Importing scipy would add to a pass's time and
+    # memory.
     code = (
         "import sys\n"
-        "from epds.verify import verify_projection\n"
+        "from epds.verify import verify_krasovskii, verify_projection\n"
         "assert verify_projection(150, seed=9)['mismatches'] == 0\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        "assert verify_krasovskii(22, seed=3)['finite_failures'] == 0\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     )
     src = os.path.dirname(os.path.dirname(oracle.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -3,11 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epds import (
+    DegenerateKKT,
+    EpdsError,
     Infeasible,
     NotInSet,
     PolyhedralCone,
@@ -22,8 +25,8 @@ from epds import (
     sector_tangent_cone,
     vstar_selector,
 )
-from epds.projection import _phase1, _phase1_rows
-from epds.verify import random_projection_instance, well_posed_instance
+from epds.projection import EPS_DUAL, EPS_DUP, _phase1, _phase1_rows
+from epds.verify import random_projection_instance, random_rows, well_posed_instance
 
 
 def vertical_subspace():
@@ -33,6 +36,8 @@ def vertical_subspace():
 def test_subspace_requires_full_column_rank():
     with pytest.raises(RankDeficient):
         ProjectionSubspace(ambient_dim=2, basis=np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(RankDeficient):  # more columns than rows: 2 nonzero singular values
+        ProjectionSubspace(ambient_dim=2, basis=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
 
 
 def test_feasible_examples():
@@ -355,3 +360,140 @@ def test_well_posed_instance_matches_box_lp():
         assert well_posed_instance(cone, E, v) == _well_posed_lp_reference(cone, E, v)
         per_n_e[E.n_e] += 1
     assert sorted(per_n_e) == [1, 2, 3]
+
+
+def _conditioned_basis(rng, n, n_e, log_ratio):
+    """Random n x n_E basis whose column singular values run log-evenly from
+    1 down to 10**log_ratio."""
+    Q1 = np.linalg.qr(rng.standard_normal((n, n_e)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((n_e, n_e)))[0]
+    return Q1 @ np.diag(np.logspace(0.0, log_ratio, n_e)) @ Q2.T
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(-11.0, -1.0))
+@example(seed=4074418350, log_ratio=-6.766735510274243)  # in E's coordinates: w off by 9e-5
+@example(seed=2198257139, log_ratio=-9.558403872803662)  # in E's coordinates: DegenerateKKT
+@example(seed=1615833082, log_ratio=-10.962706377136122)  # in E's coordinates: infeasible
+@settings(max_examples=200, deadline=None)
+def test_ill_conditioned_basis_matches_orthonormal_oracle(seed, log_ratio):
+    # The same Im E through an ill-conditioned E and through an orthonormal
+    # basis of it must give the same feasibility and the same w; the oracle
+    # on the orthonormal basis is the reference.  Any backward-stable
+    # orthonormalization fixes the span of a floating-point E only to about
+    # eps over the singular-value ratio (a QR basis moves w by up to 3e-9 at
+    # ratio 1e-11), so the basis comes from the SVD of E, which pins the
+    # subspace and leaves the solve to be compared.
+    rng = np.random.default_rng(seed)
+    n_e = int(rng.integers(2, 4))
+    n = int(rng.integers(n_e, 6))
+    cone = PolyhedralCone(dim=n, rows=random_rows(rng, int(rng.integers(1, min(4, n) + 1)), n))
+    E = _conditioned_basis(rng, n, n_e, log_ratio)
+    v = rng.standard_normal(n) * float(rng.uniform(0.5, 3.0))
+    U = ProjectionSubspace(n, np.linalg.svd(E, full_matrices=False)[0])
+    is_feasible = feasible(cone, U, v)
+    assert feasible(cone, ProjectionSubspace(n, E), v) == is_feasible
+    if not is_feasible:
+        return
+    res = project_partial(cone, ProjectionSubspace(n, E), v)
+    w_norm = np.linalg.norm(res.w)
+    assert np.linalg.norm(res.w - oracle_project(cone, U, v)) <= 1e-9 * (1.0 + w_norm)
+    # E eta is formed in floating point, whose error grows with |E| |eta|,
+    # that is with |w - v| over the column singular-value ratio.
+    recon = np.linalg.norm(v + E @ res.eta - res.w)
+    assert recon <= 1e-9 * (1.0 + w_norm) + 1e-14 * np.linalg.norm(E, 2) * np.linalg.norm(res.eta)
+
+
+def _project_partial_gelsy_reference(cone, E, v):
+    """Active-set KKT enumeration in the caller's E coordinates, one subset
+    at a time by QR with column pivoting (LAPACK gelsy) and one refinement
+    step, under the metric 2 E^T E.  Returns (w, active_indices,
+    n_distinct_optima) and raises as ``project_partial`` does."""
+    G, g = cone.rows @ E.basis, -(cone.rows @ v)
+    k, n_e = G.shape
+    Q2 = 2.0 * (E.basis.T @ E.basis)
+    G_norms = np.linalg.norm(G, axis=1)
+    passing = []
+    for size in range(k + 1):
+        for subset in itertools.combinations(range(k), size):
+            GW = G[list(subset)]
+            kkt = np.block([[Q2, -GW.T], [GW, np.zeros((size, size))]])
+            rhs = np.concatenate([np.zeros(n_e), g[list(subset)]])
+            sol, *_ = scipy.linalg.lstsq(kkt, rhs, lapack_driver="gelsy")
+            if not np.all(np.isfinite(sol)):
+                continue
+            corr, *_ = scipy.linalg.lstsq(kkt, rhs - kkt @ sol, lapack_driver="gelsy")
+            if np.all(np.isfinite(corr)):
+                sol = sol + corr
+            if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+                continue
+            eta, lam = sol[:n_e], sol[n_e:]
+            if np.any(G @ eta - g < -1e-9 * (np.abs(g) + G_norms * np.linalg.norm(eta))):
+                continue
+            if lam.size and np.min(lam) < -EPS_DUAL * max(1.0, float(np.max(np.abs(lam)))):
+                continue
+            passing.append(eta)
+    if not passing:
+        Gn, gn = G, g
+        if k:
+            norms = np.maximum(np.linalg.norm(np.column_stack([G, g]), axis=1), 1e-30)
+            Gn, gn = G / norms[:, None], g / norms
+        if _phase1(Gn, gn) > 1e-9:
+            raise Infeasible("the cone does not meet v + Im E")
+        raise DegenerateKKT("no active subset passed the KKT checks")
+    ws = [v + E.basis @ eta for eta in passing]
+    distinct = []
+    for w in ws:
+        if all(np.linalg.norm(w - d) > EPS_DUP * (1.0 + np.linalg.norm(w)) for d in distinct):
+            distinct.append(w)
+    slack = G @ passing[0] - g
+    act = np.flatnonzero(np.abs(slack) <= 1e-8 * (1.0 + np.abs(g) + G_norms))
+    return ws[0], tuple(int(i) for i in act), len(distinct)
+
+
+@st.composite
+def kkt_instances(draw):
+    """Cones of 1-3 random unit rows in R^2..R^5 plus up to two rows that
+    are a duplicate, a positive multiple or a combination of others, or
+    orthogonal to Im E, in shuffled order; E has n_E in {1, 2, 3} and a
+    column singular-value ratio in [1e-3, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_e = draw(st.integers(1, 3))
+    n = draw(st.integers(max(2, n_e), 5))
+    E = _conditioned_basis(rng, n, n_e, draw(st.floats(-3.0, 0.0)))
+    rows = list(random_rows(rng, draw(st.integers(1, min(3, n))), n))
+    kinds = ["duplicate", "scaled", "dependent"] + (["orthogonal"] if n > n_e else [])
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        i, j = rng.integers(len(rows), size=2)
+        if kind == "duplicate":
+            rows.append(rows[i].copy())
+        elif kind == "scaled":
+            rows.append(rows[i] * float(rng.uniform(0.1, 10.0)))
+        elif kind == "dependent":
+            a, b = rng.uniform(-2.0, 2.0, size=2)
+            rows.append(a * rows[i] + b * rows[j])
+        else:
+            Q = np.linalg.qr(E)[0]
+            r = rng.standard_normal(n)
+            r -= Q @ (Q.T @ r)
+            rows.append(r / np.linalg.norm(r))
+    rows = np.array(rows)[rng.permutation(len(rows))]
+    v = rng.standard_normal(n) * float(rng.uniform(0.5, 3.0))
+    return PolyhedralCone(dim=n, rows=rows), ProjectionSubspace(n, E), v
+
+
+@given(kkt_instances())
+@settings(max_examples=300, deadline=None)
+def test_batched_kkt_matches_gelsy_reference(instance):
+    cone, E, v = instance
+    try:
+        ref = _project_partial_gelsy_reference(cone, E, v)
+    except EpdsError as err:
+        with pytest.raises(EpdsError) as raised:
+            project_partial(cone, E, v)
+        assert type(raised.value) is type(err)
+        return
+    res = project_partial(cone, E, v)
+    w_ref, act_ref, n_ref = ref
+    assert res.active_indices == act_ref
+    assert res.n_distinct_optima == n_ref
+    assert np.linalg.norm(res.w - w_ref) <= 1e-10 * (1.0 + np.linalg.norm(w_ref))
