@@ -38,8 +38,15 @@ EPS_CONE = 1e-10
 SV_RTOL = 1e-10
 
 
+_F64 = np.dtype(float)
+
+
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+    """x as a 1-D float array; a 1-D float64 ndarray comes back as itself."""
+    if type(x) is np.ndarray and x.ndim == 1 and x.dtype is _F64:
+        v = x
+    else:
+        v = np.asarray(x, dtype=float).reshape(-1)
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected a vector of length {dim}, got {v.shape[0]}")
     return v
@@ -47,7 +54,7 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -365,8 +372,8 @@ class Sector:
             assert self.contains((e, self.k1 * e))
 
     def residual(self, s) -> float:
-        e, u = _as_vector(s, 2)
-        return float((u - self.k1 * e) * (u - self.k2 * e))
+        e, u = _as_vector(s, 2).tolist()
+        return (u - self.k1 * e) * (u - self.k2 * e)
 
     def cone_k(self) -> PolyhedralCone:
         """K as a cone: rows (u - k1 e >= 0) and (k2 e - u >= 0)."""

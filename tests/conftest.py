@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from epds import Plant, build_closed_loop, drift_correct, higs_preset
-from epds.sim import _step_schedule
+from epds import Plant, StateExploded, build_closed_loop, drift_correct, higs_preset
+from epds.projection import vstar_selector
+from epds.sim import BLOWUP_BOUND, Trace, _step_schedule, eval_input
 
 
 @pytest.fixture
@@ -73,3 +74,71 @@ def euler_time_embedded(emb, xi0, T, h):
         chi = chi_c + dt * f
     corrected_field(chi)
     return np.array(t), np.array(xi), np.array(vstar), tuple(branch)
+
+
+def reference_integrate(sys, xi0, signal, T, h):
+    """The simulator loop as it was before its fast path, kept as the
+    reference that ``integrate`` must reproduce byte for byte.
+
+    Every conversion goes through the general helpers: ``output_pair``
+    gives (e, u) and ``split`` gives (x, z) on each use, the field is
+    concatenated, ``Sector.residual`` scores each row, every recorded state
+    is copied when it is recorded, and the columns are stacked at the end.
+    Drift correction and the field are evaluated here as well, so the
+    reference shares no step code with ``integrate``.
+    """
+    sec = sys.sector
+
+    def correct(xi):
+        e, u = sys.output_pair(xi).tolist()
+        if sec.classify(e, u).label != "outside":
+            return xi, False
+        out = xi.copy()
+        out[sys.n] = min(max(u, min(sec.k1 * e, sec.k2 * e)), max(sec.k1 * e, sec.k2 * e))
+        return out, True
+
+    def field(xi, w):
+        e, u = sys.output_pair(xi).tolist()
+        pos = sec.classify(e, u)
+        assert pos.label != "outside"
+        x, z = sys.split(xi)
+        fp = np.asarray(sys.plant.f_p(x, float(z[0]), float(w)), dtype=float).reshape(-1)
+        fc = np.asarray(sys.controller.f_c(z, e), dtype=float).reshape(-1)
+        edot = float(sys.plant.gp @ fp)
+        fc1 = float(fc[0])
+        vstar = vstar_selector(sec, pos, edot, fc1)
+        return np.concatenate([fp, [vstar], fc[1:]]), edot, vstar, pos.label, abs(vstar - fc1)
+
+    rows = []
+
+    def record(t, state_raw, rhs, corrected):
+        eu = sys.output_pair(state_raw)
+        _, edot, vstar, branch, corr = rhs
+        rows.append((t, np.array(state_raw), float(eu[0]), float(eu[1]), edot, vstar,
+                     branch, corr, sec.residual(eu), corrected))
+
+    raw = np.array(xi0, dtype=float)
+    for t, dt, t_next in _step_schedule(signal, T, h):
+        stepped, corrected = correct(raw)
+        rhs = field(stepped, eval_input(signal, t))
+        record(t, raw, rhs, corrected)
+        raw = stepped + dt * rhs[0]
+        norm = float(np.linalg.norm(raw))
+        if norm > BLOWUP_BOUND:
+            raise StateExploded(t_next, norm, BLOWUP_BOUND)
+    final, corrected = correct(raw)
+    record(T, raw, field(final, eval_input(signal, T)), corrected)
+    cols = list(zip(*rows))
+    return Trace(
+        t=np.array(cols[0]),
+        xi=np.vstack(cols[1]),
+        e=np.array(cols[2]),
+        u=np.array(cols[3]),
+        edot=np.array(cols[4]),
+        vstar=np.array(cols[5]),
+        branch=tuple(cols[6]),
+        correction_norm=np.array(cols[7]),
+        sector_residual=np.array(cols[8]),
+        drift_corrected=np.array(cols[9], dtype=bool),
+        h=h,
+    )

@@ -25,7 +25,7 @@ from epds import (
     tangent_cone,
     user_constraint,
 )
-from epds.geometry import EPS_MEM
+from epds.geometry import EPS_MEM, _as_vector
 from conftest import orthant, unit_disk
 
 
@@ -272,3 +272,20 @@ def test_user_constraints_not_serializable():
     )
     with pytest.raises(ValueError):
         constraint_set_to_json(cset)
+
+
+def test_as_vector_converts_other_inputs_and_passes_float64_vectors_through():
+    for x in ([1, 2, 3], (1.0, 2.0, 3.0), np.array([1, 2, 3]),
+              np.array([1, 2, 3], dtype=np.float32), np.array([[1.0], [2.0], [3.0]]),
+              np.array([1.0, 2.0, 3.0], dtype=">f8")):
+        v = _as_vector(x, 3)
+        assert v.dtype == np.float64 and v.shape == (3,)
+        assert v.tolist() == [1.0, 2.0, 3.0]
+    for x in ([1.0, 2.0], (1.0, 2.0, 3.0, 4.0), np.zeros(4), np.zeros((2, 1))):
+        with pytest.raises(ValueError):
+            _as_vector(x, 3)
+    # A 1-D float64 array is returned as itself: no copy, not even a view.
+    x = np.array([1.0, -2.5, 3.0])
+    assert _as_vector(x, 3) is x
+    assert _as_vector(x) is x
+    assert x.tolist() == [1.0, -2.5, 3.0]

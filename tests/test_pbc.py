@@ -12,6 +12,7 @@ from epds import (
     ZeroOutputRow,
     build_closed_loop,
     closed_loop_rhs,
+    drift_correct,
     growth_check,
     higs_preset,
     lifted_tangent_cone,
@@ -198,3 +199,41 @@ def test_closed_form_rhs_matches_kkt_projection(k1, width, log_e, negative, plac
     assert abs(fast.vstar - float(ref.w[1])) <= tol
     assert abs(fast.correction_norm - ref.correction_norm) <= tol
     assert fast.field[0] == edot and fast.field[1] == fast.vstar
+
+
+@pytest.mark.parametrize(
+    "xi, branch",
+    [
+        ([1.0, 0.0, -0.5], "interior"),  # (e, u) = (-1, -0.5)
+        ([-1.0, 0.0, 1.0], "K"),  # (1, 1), on u = k2 e
+        ([1.0, 0.0, -1.0], "minusK"),  # (-1, -1), on u = k2 e
+        ([0.0, 0.3, 0.0], "corner"),
+    ],
+)
+def test_rhs_field_is_read_only_and_the_state_untouched(higs_system, xi, branch):
+    xi = np.array(xi)
+    before = xi.tobytes()
+    r = closed_loop_rhs(higs_system, xi, 0.7)
+    assert r.branch == branch
+    assert not r.field.flags.writeable
+    with pytest.raises(ValueError):
+        r.field[0] = 1.0
+    assert xi.tobytes() == before
+
+
+@given(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3), st.floats(-5.0, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_drift_correct_and_rhs_never_write_the_callers_state(coords, w):
+    # The state is passed without a copy, so neither function may write it;
+    # a correction is returned as a new array.
+    sys = make_higs_benchmark()
+    xi = np.array(coords)
+    before = xi.tobytes()
+    out, fired = drift_correct(sys, xi)
+    assert xi.tobytes() == before
+    if fired:
+        assert not np.shares_memory(out, xi)
+    corrected = out.tobytes()
+    closed_loop_rhs(sys, out, w)
+    assert out.tobytes() == corrected
+    assert xi.tobytes() == before

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from epds import (
 import epds.projection
 from epds.scenario import build_runtime, scenario_from_json
 from epds.sim import BLOWUP_BOUND, ConstantSegment, PolynomialSegment, RampSegment, SinusoidSegment
-from conftest import euler_time_embedded, make_higs_benchmark
+from conftest import euler_time_embedded, make_higs_benchmark, reference_integrate
 
 
 def zero_system():
@@ -246,3 +247,121 @@ def test_simulator_stays_off_the_kkt_and_lp_paths(monkeypatch):
         for name in ("t", "xi", "vstar", "correction_norm", "drift_corrected"):
             assert getattr(tr, name).tobytes() == getattr(ref, name).tobytes(), name
         assert tr.branch == ref.branch
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+TRACE_ARRAYS = ("t", "xi", "e", "u", "edot", "vstar", "correction_norm", "sector_residual",
+                "drift_corrected")
+
+
+def _shipped(name):
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+def _higs_variant(rng, k):
+    """Shipped HIGS loop with plant, slope, gain, input and start redrawn."""
+    doc = _shipped("higs_benchmark")
+    doc["name"] = f"higs_variant_{k}"
+    for key in ("mass", "stiffness", "damping"):
+        doc["plant"][key] *= rng.uniform(0.5, 2.0)
+    k_h = doc["controller"]["k_h"] * rng.uniform(0.5, 2.0)
+    doc["controller"].update(k_h=k_h, omega_h=doc["controller"]["omega_h"] * rng.uniform(0.5, 2.0))
+    doc["sector"] = {"k1": 0.0, "k2": k_h}
+    seg = doc["input"]["segments"][0]
+    seg.update(amplitude=seg["amplitude"] * rng.uniform(0.5, 2.0),
+               omega=seg["omega"] * rng.uniform(0.5, 2.0), phase=rng.uniform(0.0, 6.3))
+    x0 = [rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)]
+    doc["initial_state"] = x0 + [rng.uniform(0.1, 0.9) * k_h * -x0[0]]  # gp = (-1, 0)
+    return doc
+
+
+def _tracking_variant(rng, k):
+    """Constant rates from the corner; the controller rate may or may not be clamped."""
+    doc = _shipped("tracking_benchmark")
+    doc["name"] = f"tracking_variant_{k}"
+    k1 = rng.uniform(-1.0, 0.5)
+    doc["sector"] = {"k1": k1, "k2": k1 + rng.uniform(0.3, 2.0)}
+    doc["plant"]["c"] = [rng.uniform(0.5, 2.0) * rng.choice((1.0, -1.0))]
+    doc["controller"]["c"] = [rng.uniform(-4.0, 4.0)]
+    return doc
+
+
+def _linear_variant(rng, k):
+    """Random stable linear plant and controller, with a general output row
+    gp (so that the summation order of H xi shows) and up to two controller
+    states (so that the field carries controller rates past z1)."""
+    n, m = rng.randint(1, 3), rng.randint(1, 2)
+
+    def stable(d):
+        return [[(-rng.uniform(1.0, 2.0) if i == j else rng.uniform(-0.4, 0.4))
+                 for j in range(d)] for i in range(d)]
+
+    def vec(d, lo=-1.5, hi=1.5):
+        return [rng.uniform(lo, hi) for _ in range(d)]
+
+    gp = [rng.uniform(0.2, 3.0) * rng.choice((1.0, -1.0)) for _ in range(n)]
+    k1 = rng.uniform(-1.0, 0.5)
+    k2 = k1 + rng.uniform(0.3, 2.0)
+    x0 = vec(n)
+    e0 = sum(g * x for g, x in zip(gp, x0))
+    lo, hi = sorted((k1 * e0, k2 * e0))
+    return {
+        "name": f"linear_variant_{k}",
+        "plant": {"kind": "linear", "A": stable(n), "B": vec(n), "Bw": vec(n),
+                  "c": vec(n, -0.3, 0.3), "gp": gp},
+        "controller": {"kind": "linear", "A": stable(m), "B": vec(m), "c": vec(m, -0.3, 0.3)},
+        "sector": {"k1": k1, "k2": k2},
+        "initial_state": x0 + [lo + rng.uniform(0.1, 0.9) * (hi - lo)] + vec(m - 1),
+        "input": InputSignal.steps((0.0, rng.uniform(0.5, 2.5)), vec(2)).to_json(),
+        "horizon": 3.0,
+        "step": 0.01,
+    }
+
+
+def _loop_scenarios():
+    rng = random.Random(20261019)
+    docs = [_shipped(name) for name in ("higs_benchmark", "tracking_benchmark", "blowup")]
+    for k in range(16):
+        docs += [_higs_variant(rng, k), _tracking_variant(rng, k), _linear_variant(rng, k)]
+    return docs
+
+
+@pytest.mark.parametrize("doc", _loop_scenarios(), ids=lambda d: d["name"])
+def test_integrate_matches_reference_loop(doc, tmp_path):
+    # integrate's fast path against the loop it replaced: every column,
+    # the branch labels and the CSV bytes are equal, and a blow-up stops
+    # at the same step with the same norm.
+    b = build_runtime(scenario_from_json(doc))
+    args = (b.system, b.xi0, b.signal, b.horizon, b.step)
+    try:
+        want = reference_integrate(*args)
+    except StateExploded as exc:
+        with pytest.raises(StateExploded) as got:
+            integrate(*args)
+        assert (got.value.t, got.value.norm, got.value.bound) == (exc.t, exc.norm, exc.bound)
+        return
+    assert doc["name"] != "blowup", "the blow-up scenario ran to its horizon"
+    got = integrate(*args)
+    for name in TRACE_ARRAYS:
+        a, w = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+    assert got.branch == want.branch
+    assert got.h == want.h
+    got.to_csv(tmp_path / "got.csv")
+    want.to_csv(tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_reference_loop_scenarios_cover_every_branch_and_correction():
+    # The equality above means something only if the drawn runs visit all
+    # four branches and fire drift corrections.
+    seen, corrections = set(), 0
+    for doc in _loop_scenarios():
+        if doc["name"] == "blowup":
+            continue
+        b = build_runtime(scenario_from_json(doc))
+        tr = integrate(b.system, b.xi0, b.signal, b.horizon, b.step)
+        seen.update(tr.branch)
+        corrections += int(np.sum(tr.drift_corrected))
+    assert seen == {"interior", "K", "minusK", "corner"}
+    assert corrections > 0
