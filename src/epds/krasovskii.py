@@ -3,10 +3,12 @@
 For a finitely generated set under the constraint qualification the
 regularized velocity set at x is the convex hull of one projected field
 value per subset J of the active constraints, each projected onto the
-relaxed cone that keeps only the rows in J.  For sectors the same role is
-played by the tangent cones of all strata meeting every neighborhood of the
-point; at the origin that list is the eight cones generated by the two
-boundary lines of K and -K, hard-coded from the geometry of K u -K.
+relaxed cone that keeps only the rows in J (the Krasovskii regularization
+of Hauswirth, Bolognani, Hug and Dorfler, SIAM J. Control Optim. 59(1),
+2021).  For sectors the same builder runs on the rows of each convex part
+of the tangent cone: at the origin the subsets of K's two lines and of
+-K's two lines give the tangent cones of all strata meeting every
+neighborhood of 0 (the full plane, the four boundary halfplanes, K and -K).
 
 ``verify_equality`` then checks, on a barycentric grid over the hull,
 whether every hull point lying in the tangent cone coincides with the
@@ -38,7 +40,6 @@ from .projection import (
     ProjectionSubspace,
     feasible,
     project_partial,
-    sector_project,
     sector_subspace,
 )
 
@@ -54,7 +55,7 @@ class KrasovskiiHull:
     """Finite generating set of the regularized velocity hull at a point.
 
     ``vertices`` are sorted lexicographically; ``subset_labels[i]`` lists the
-    generating subsets (or sector stratum names) whose projections landed on
+    generating subsets, as tuples of row labels, whose projections landed on
     vertex i.
     """
 
@@ -103,6 +104,31 @@ def _check_nesting(corrections: dict[tuple, float]) -> None:
                 )
 
 
+def _subset_vertices(
+    rows: np.ndarray, names, E: ProjectionSubspace, f: np.ndarray
+) -> list[tuple[tuple, np.ndarray]]:
+    """Projections of f onto the relaxed cone of every subset J of ``rows``.
+
+    Each projection is labelled by the names of the rows in J.  A relaxed
+    cone that misses f + Im E is skipped; the corrections of the others are
+    checked for nesting.
+    """
+    raw: list[tuple[tuple, np.ndarray]] = []
+    corrections: dict[tuple, float] = {}
+    for size in range(len(rows) + 1):
+        for subset in itertools.combinations(range(len(rows)), size):
+            label = tuple(names[i] for i in subset)
+            cone = PolyhedralCone(dim=rows.shape[1], rows=rows[list(subset)])
+            try:
+                res = project_partial(cone, E, f)
+            except Infeasible:
+                continue
+            raw.append((label, res.w))
+            corrections[label] = res.correction_norm
+    _check_nesting(corrections)
+    return raw
+
+
 def krasovskii_vertices(
     cset, E: ProjectionSubspace, x, f_at_x
 ) -> KrasovskiiHull:
@@ -118,80 +144,31 @@ def krasovskii_vertices(
         raise CqViolated(f"(CQ) fails at {x.tolist()}")
     act = rep.active_indices
     grads = cset.gradients(x, act)
-    full_cone = PolyhedralCone(dim=cset.dim, rows=grads)
-    if not feasible(full_cone, E, f):
+    if not feasible(PolyhedralCone(dim=cset.dim, rows=grads), E, f):
         raise Infeasible("the tangent cone does not meet f + Im E")
-
-    raw: list[tuple[tuple, np.ndarray]] = []
-    corrections: dict[tuple, float] = {}
-    for size in range(len(act) + 1):
-        for subset in itertools.combinations(range(len(act)), size):
-            label = tuple(act[i] for i in subset)
-            cone = PolyhedralCone(dim=cset.dim, rows=grads[list(subset)])
-            res = project_partial(cone, E, f)
-            raw.append((label, res.w))
-            corrections[label] = res.correction_norm
-    _check_nesting(corrections)
-    verts, labels = _dedup_sort(raw)
+    verts, labels = _dedup_sort(_subset_vertices(grads, act, E, f))
     return KrasovskiiHull(vertices=verts, subset_labels=labels, point=x, field_value=f)
 
 
-def _corner_strata(sec: Sector) -> list[tuple[str, PolyhedralCone]]:
-    """Tangent cones of all sector strata meeting every neighborhood of 0."""
-    k1, k2 = sec.k1, sec.k2
-    half = lambda row: PolyhedralCone(dim=2, rows=np.array([row]))
-    return [
-        ("full", PolyhedralCone.full_space(2)),
-        ("le_k2", half([k2, -1.0])),  # boundary u = k2 e on the K side
-        ("ge_k1", half([-k1, 1.0])),  # boundary u = k1 e on the K side
-        ("ge_k2", half([-k2, 1.0])),  # boundary u = k2 e on the -K side
-        ("le_k1", half([k1, -1.0])),  # boundary u = k1 e on the -K side
-        ("K", sec.cone_k()),
-        ("-K", sec.cone_minus_k()),
-    ]
-
-
 def sector_krasovskii_vertices(sec: Sector, s, w) -> KrasovskiiHull:
-    """Stratum-by-stratum projections generating the sector hull at s.
+    """One vertex per subset of the rows of each convex part of the sector
+    tangent cone at s, projected along the vertical direction.
 
-    At the origin the strata are the eight cones of the corner geometry
-    (full plane, four boundary halfplanes, K, -K and their union); away
-    from it, the subsets of the local branch's active rows.  Cones missed by
-    w + Im E' are skipped.
+    Away from the origin the tangent cone is one branch cone with its tight
+    rows.  At the origin it is K u -K, and the subsets of K's two lines and
+    of -K's two lines give the strata meeting every neighborhood of 0: the
+    full plane, the four boundary halfplanes, K and -K.  Labels number the
+    rows of K, then those of -K; cones missed by w + Im E' are skipped.
     """
     s = _as_vector(s, 2)
     w = _as_vector(w, 2)
+    cone = sector_tangent_cone(sec, s)
     E2 = sector_subspace()
-    raw: list[tuple[str, np.ndarray]] = []
-    chains: dict[str, float] = {}
-
-    if sec.is_corner(s):
-        for label, cone in _corner_strata(sec):
-            if not feasible(cone, E2, w):
-                continue
-            res = project_partial(cone, E2, w)
-            raw.append((label, res.w))
-            chains[label] = res.correction_norm
-        union_res = sector_project(sec, s, w)
-        raw.append(("K|-K", union_res.w))
-        # Nesting along each branch chain: full > halfplane > branch cone.
-        for top, mid_lo, mid_hi in (("K", "ge_k1", "le_k2"), ("-K", "ge_k2", "le_k1")):
-            if top in chains:
-                for mid in (mid_lo, mid_hi):
-                    if mid in chains and chains[mid] > chains[top] + 1e-9:
-                        raise AssertionError("sector stratum nesting violated")
-    else:
-        branch = sector_tangent_cone(sec, s)
-        rows = branch.rows
-        corrections: dict[tuple, float] = {}
-        for size in range(rows.shape[0] + 1):
-            for subset in itertools.combinations(range(rows.shape[0]), size):
-                cone = PolyhedralCone(dim=2, rows=rows[list(subset)])
-                res = project_partial(cone, E2, w)
-                raw.append((subset, res.w))
-                corrections[subset] = res.correction_norm
-        _check_nesting(corrections)
-
+    raw: list[tuple[tuple, np.ndarray]] = []
+    offset = 0
+    for part in cone.parts or (cone,):
+        raw += _subset_vertices(part.rows, range(offset, offset + part.n_rows), E2, w)
+        offset += part.n_rows
     verts, labels = _dedup_sort(raw)
     return KrasovskiiHull(vertices=verts, subset_labels=labels, point=s, field_value=w)
 

@@ -9,10 +9,13 @@ with the correction restricted to Im E.  It is solved in the orthonormal
 basis U of Im E that ``ProjectionSubspace`` keeps, where the metric is the
 identity whatever the conditioning of E.  Candidate active supports of the
 cone rows are enumerated exhaustively (instances are tiny, so exactness and
-determinism beat asymptotics), with one stacked KKT solve per support size.
-Under row independence and feasibility the optimum is unique, so the first
-passing support is returned; all passing supports are still collected so
-callers can check uniqueness.
+determinism beat asymptotics): each support S is solved as the least-norm
+solution of its rows, eta' = G_S^+ g_S, with one stacked pseudo-inverse per
+support size.  Under row independence and feasibility the optimum is
+unique, so the first passing support is returned; all passing supports are
+still collected so callers can check uniqueness.  The supports and the
+phase-1 feasibility test read the same unit-normalized rows with one
+vanishing-row cutoff, so they agree on which cones meet v + Im E.
 
 The sector path has a closed form at the origin: per branch, the admissible
 vertical velocities form the interval with endpoints k1*edot and k2*edot
@@ -41,6 +44,10 @@ from .geometry import (
 
 # Sign tolerance for KKT multipliers.
 EPS_DUAL = 1e-10
+# A unit row whose part along Im E is at most this long vanishes on Im E.
+EPS_VANISH = 1e-12
+# The cone meets v + Im E when the phase-1 slack on unit rows is at most this.
+EPS_PHASE1 = 1e-9
 # Distinct-optima clustering tolerance (duplicates closer than this are one).
 EPS_DUP = 1e-9
 
@@ -114,18 +121,17 @@ class ProjectionResult:
         object.__setattr__(self, "eta", _readonly(np.asarray(self.eta, dtype=float).reshape(-1)))
 
 
-def _cone_matrices(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray):
-    """Reduced constraint data G eta' >= g in the orthonormal coordinates
-    eta' of Im E."""
-    return cone.rows @ E._u, -(cone.rows @ v)
-
-
 def _phase1_rows(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarray):
-    """Rows Gn eta' >= gn of the cone along v + Im E, each (Gn_i, gn_i)
-    scaled to unit norm so the slack threshold is scale-free."""
-    G, g = _cone_matrices(cone, E, v)
+    """Rows Gn eta' >= gn of the cone along v + Im E, in the orthonormal
+    coordinates eta' of Im E, each (Gn_i, gn_i) scaled to unit norm so that
+    every threshold is scale-free.  A unit row with |Gn_i| <= EPS_VANISH
+    vanishes on Im E and is set to zero there, so phase-1 and the KKT solves
+    see the same row that no correction can move."""
+    G, g = cone.rows @ E._u, -(cone.rows @ v)
     norms = np.maximum(np.linalg.norm(np.column_stack([G, g]), axis=1), 1e-30)
-    return G / norms[:, None], g / norms
+    Gn, gn = G / norms[:, None], g / norms
+    Gn[np.linalg.norm(Gn, axis=1) <= EPS_VANISH] = 0.0
+    return Gn, gn
 
 
 @functools.lru_cache(maxsize=64)
@@ -167,49 +173,45 @@ def feasible(cone: PolyhedralCone, E: ProjectionSubspace, v) -> bool:
 
     Minimizes a single slack t with A(v + U eta') + t >= 0, t >= 0; the
     intersection is nonempty exactly when the optimal t (``_phase1``, exact
-    for every n_E) is at most 1e-9 on the unit-normalized rows.  Union cones
-    are out of contract here; the sector path handles them branch by branch.
+    for every n_E) is at most EPS_PHASE1 on the unit rows of ``_phase1_rows``,
+    the rows that ``project_partial`` solves on.  Union cones are out of
+    contract here; the sector path handles them branch by branch.
     """
     if not cone.convex:
         raise ValueError("feasible() expects a convex cone")
     v = _as_vector(v, cone.dim)
-    Gn, gn = _phase1_rows(cone, E, v)
-    return bool(_phase1(Gn, gn) <= 1e-9)
+    return bool(_phase1(*_phase1_rows(cone, E, v)) <= EPS_PHASE1)
 
 
-def _kkt_optima(G: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Minimizers eta' of |eta'| over G eta' >= g, one row per passing
+def _kkt_optima(Gn: np.ndarray, gn: np.ndarray) -> np.ndarray:
+    """Minimizers eta' of |eta'| over Gn eta' >= gn, one row per passing
     support, the supports in size-then-lexicographic order.
 
-    All supports S of one size solve [[2I, -G_S^T], [G_S, 0]] (eta', lam) =
-    (0, g_S) as one stack, by pseudo-inverse and one refinement step; the 2I
-    block sets the cutoff relative to the metric, so rows that vanish on
-    Im E up to roundoff are not inverted.  S passes when its system is
-    consistent, every row holds up to its own terms (so that no violation
-    is too small to be corrected) and the multipliers are nonnegative.
+    On a support S the candidate is the least-norm solution eta' = Gn_S^+ gn_S
+    of its rows taken as equalities, with the multipliers of 2 eta' =
+    Gn_S^T lam given by lam = 2 (Gn_S^+)^T eta'; all supports of one size
+    share one stacked pseudo-inverse.  S passes when its rows hold with
+    equality, every row holds up to its own terms (so that no violation is
+    too small to be corrected) and the multipliers are nonnegative.  The rows
+    are the unit rows of ``_phase1_rows``, so a row that vanishes on Im E is
+    zero here and is never inverted.
     """
-    k, n_e = G.shape
-    G_norms = np.linalg.norm(G, axis=1)
+    m, n_e = Gn.shape
+    Gn_norms = np.linalg.norm(Gn, axis=1)
     # The empty support's solution is eta' = 0, which passes iff A v >= 0.
-    optima = [np.zeros((int(np.all(g <= 0.0)), n_e))]
-    for size in range(1, k + 1):
-        S = _supports(k, size)
-        GS = G[S]
-        kkt = np.zeros((len(S), n_e + size, n_e + size))
-        kkt[:, :n_e, :n_e] = 2.0 * np.eye(n_e)
-        kkt[:, :n_e, n_e:] = -np.swapaxes(GS, 1, 2)
-        kkt[:, n_e:, :n_e] = GS
-        rhs = np.concatenate([np.zeros((len(S), n_e)), g[S]], axis=1)[:, :, None]
-        P = np.linalg.pinv(kkt)
-        sol = P @ rhs
-        sol += P @ (rhs - kkt @ sol)
-        resid = np.linalg.norm(kkt @ sol - rhs, axis=(1, 2))
-        eta, lam = sol[:, :n_e, 0], sol[:, n_e:, 0]
-        floor = np.abs(g) + np.outer(np.linalg.norm(eta, axis=1), G_norms)
+    optima = [np.zeros((int(np.all(gn <= 0.0)), n_e))]
+    for size in range(1, m + 1):
+        S = _supports(m, size)
+        GS, gS = Gn[S], gn[S]
+        P = np.linalg.pinv(GS)
+        eta = np.einsum("cij,cj->ci", P, gS)
+        lam = 2.0 * np.einsum("cji,cj->ci", P, eta)
+        resid = np.linalg.norm(np.einsum("cij,cj->ci", GS, eta) - gS, axis=1)
+        floor = np.abs(gn) + np.outer(np.linalg.norm(eta, axis=1), Gn_norms)
         lam_scale = np.maximum(1.0, np.abs(lam).max(axis=1))
         ok = (
-            (resid <= 1e-8 * (1.0 + np.linalg.norm(rhs, axis=(1, 2))))
-            & np.all(eta @ G.T - g >= -1e-9 * floor, axis=1)
+            (resid <= 1e-8 * (1.0 + np.linalg.norm(gS, axis=1)))
+            & np.all(eta @ Gn.T - gn >= -1e-9 * floor, axis=1)
             & (lam.min(axis=1) >= -EPS_DUAL * lam_scale)
         )
         optima.append(eta[ok])
@@ -221,19 +223,20 @@ def project_partial(
 ) -> ProjectionResult:
     """Minimal-norm correction of v into a convex cone along Im E.
 
-    Raises Infeasible when the cone misses v + Im E, and DegenerateKKT when
-    no subset passes the checks despite feasibility (numerical breakdown,
-    never expected under the preconditions).
+    Raises Infeasible when the cone misses v + Im E (the verdict of
+    ``feasible``, on the same rows), and DegenerateKKT when no support passes
+    the checks despite feasibility (numerical breakdown, never expected under
+    the preconditions).
     """
     if not cone.convex:
         raise ValueError("project_partial expects a convex cone; use sector_project")
     v = _as_vector(v, cone.dim)
     if E.ambient_dim != cone.dim:
         raise ValueError("subspace and cone dimensions differ")
-    G, g = _cone_matrices(cone, E, v)
-    optima = _kkt_optima(G, g)
+    Gn, gn = _phase1_rows(cone, E, v)
+    optima = _kkt_optima(Gn, gn)
     if not len(optima):
-        if not feasible(cone, E, v):
+        if _phase1(Gn, gn) > EPS_PHASE1:
             raise Infeasible("the cone does not meet v + Im E")
         raise DegenerateKKT("no active subset passed the KKT checks")
 
@@ -245,9 +248,9 @@ def project_partial(
             distinct.append(w)
 
     eta = optima[0]
-    slack = G @ eta - g
-    row_scale = 1.0 + np.abs(g) + np.linalg.norm(G, axis=1)
-    act = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= 1e-8 * row_scale))
+    slack = Gn @ eta - gn
+    floor = np.abs(gn) + np.linalg.norm(eta) * np.linalg.norm(Gn, axis=1)
+    act = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= 1e-8 * (1.0 + floor)))
     return ProjectionResult(
         w=ws[0],
         eta=E._to_e @ eta,

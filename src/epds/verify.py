@@ -24,6 +24,7 @@ from .geometry import (
 from .krasovskii import krasovskii_vertices, sector_krasovskii_vertices, verify_equality
 from .oracle import oracle_project
 from .projection import (
+    EPS_PHASE1,
     ProjectionSubspace,
     _phase1,
     _supports,
@@ -103,7 +104,7 @@ def well_posed_instance(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarr
     eye = np.eye(n_e)
     rows = np.vstack([Gn, eye, -eye])
     rhs = np.concatenate([g / rn, np.full(2 * n_e, -bound)])
-    return bool(_phase1(rows, rhs) <= 1e-9)
+    return bool(_phase1(rows, rhs) <= EPS_PHASE1)
 
 
 def verify_projection(count: int = 10_000, seed: int = 0, max_dim: int = 6) -> dict:

@@ -46,6 +46,18 @@ def unit_disk():
     )
 
 
+def corner_cones(k1, k2):
+    """The seven cones of the strata of K u -K that meet every neighborhood
+    of the origin, written from the sector slopes alone: the full plane, the
+    four halfplanes bounded by u = k1 e and u = k2 e, K and -K."""
+    from epds import PolyhedralCone
+
+    k_rows = [[-k1, 1.0], [k2, -1.0]]  # K: u >= k1 e and u <= k2 e
+    minus_k_rows = [[k1, -1.0], [-k2, 1.0]]  # -K: u <= k1 e and u >= k2 e
+    row_sets = [[]] + [[row] for row in k_rows + minus_k_rows] + [k_rows, minus_k_rows]
+    return [PolyhedralCone(dim=2, rows=np.array(r).reshape(-1, 2)) for r in row_sets]
+
+
 def euler_time_embedded(emb, xi0, T, h):
     """Explicit Euler on the embedded state chi = (xi, t), independent of
     ``integrate``: the clock is a state stepped by the field's unit last

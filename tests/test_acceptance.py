@@ -29,11 +29,10 @@ from epds import (
     verify_equality,
     vstar_selector,
 )
-from epds.krasovskii import _corner_strata
 from epds.projection import feasible
 from epds.sim import SinusoidSegment
 from epds.verify import verify_projection, verify_krasovskii
-from conftest import euler_time_embedded, make_higs_benchmark
+from conftest import corner_cones, euler_time_embedded, make_higs_benchmark
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -114,7 +113,7 @@ def test_criterion_4_counterexample_reproduction():
     # Re-derive the expected vertices with the oracle, stratum by stratum.
     E2 = sector_subspace()
     derived = []
-    for _, cone in _corner_strata(sec):
+    for cone in corner_cones(sec.k1, sec.k2):
         if feasible(cone, E2, w):
             derived.append(oracle_project(cone, E2, w))
     derived = np.unique(np.round(np.array(derived), 12), axis=0)

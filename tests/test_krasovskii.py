@@ -1,6 +1,8 @@
 import json
 import math
+from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from epds import (
     tangent_cone,
     verify_equality,
 )
-from epds.krasovskii import _compositions
+from epds.krasovskii import DEDUP_TOL, _compositions
 from epds.projection import sector_subspace
-from conftest import orthant
+from conftest import corner_cones, orthant
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "krasovskii_pool.json"
 
 
 def _has_vertex(hull, v, tol=1e-9):
@@ -98,11 +102,10 @@ def test_sector_hull_origin_positive_edot():
     for v in [(1.0, 2.0), (1.0, 1.0), (1.0, 0.0)]:
         assert _has_vertex(hull, v)
     # stratum-by-stratum clamp confirmed by the oracle per convex stratum
-    from epds.krasovskii import _corner_strata
     from epds.projection import feasible
 
     E2 = sector_subspace()
-    for _, cone in _corner_strata(sec):
+    for cone in corner_cones(sec.k1, sec.k2):
         if not feasible(cone, E2, np.array([1.0, 2.0])):
             continue  # the -K stratum is infeasible for positive edot
         w = oracle_project(cone, E2, [1.0, 2.0])
@@ -213,3 +216,46 @@ def test_compositions_closed_form_matches_recursion(total, k):
     assert np.all(grid.sum(axis=1) == total)
     assert np.array_equal(grid, np.array(_compositions_recursive(total, k), dtype=np.int64))
     assert _compositions.cache_info().currsize >= 1
+
+
+def test_sector_project_at_origin_is_a_hull_vertex():
+    # At the origin the projection onto K u -K is the projection onto K or
+    # onto -K, so it is already a vertex of the hull built from the subsets
+    # of each branch's lines; edot = 0 admits both branches.
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        k1 = float(rng.uniform(-2.0, 2.0))
+        sec = Sector(k1, k1 + float(rng.uniform(0.2, 3.0)))
+        w = rng.standard_normal(2) * 2.0
+        if i % 3 == 0:
+            w[0] = 0.0
+        pi = sector_project(sec, (0.0, 0.0), w)
+        hull = sector_krasovskii_vertices(sec, (0.0, 0.0), w)
+        assert _has_vertex(hull, pi.w, tol=DEDUP_TOL)
+
+
+def test_hull_vertex_counts_match_benchmark_pool(monkeypatch):
+    # The verify-krasovskii benchmark draws its sweeps from seeds screened by
+    # hull size, so every pool seed must still give the recorded finite and
+    # sector hull sizes.  Recording replaces the grid check, which draws no
+    # random numbers, so each sweep's instance stream is unchanged.
+    import epds.verify
+
+    pool = json.loads(POOL.read_text())
+    sizes = []
+
+    class _Holds:
+        holds = True
+
+    def record(hull, *args):
+        sizes.append(hull.n_vertices)
+        return _Holds
+
+    monkeypatch.setattr(epds.verify, "verify_equality", record)
+    for row in pool["pool"]:
+        sizes.clear()
+        n_fin = epds.verify.verify_krasovskii(pool["count"], row["seed"])["finite_cases"]
+        # Finite hulls are checked at two resolutions: take every other.
+        finite = Counter(str(n) for n in sizes[: 2 * n_fin : 2])
+        sector = Counter(str(n) for n in sizes[2 * n_fin :])
+        assert (finite, sector) == (row["finite"], row["sector"]), row["seed"]

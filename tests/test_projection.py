@@ -302,6 +302,28 @@ def test_phase1_matches_highs_for_every_n_e(instance):
         assert feasible(cone, E, v) == (t_lp <= 1e-9)
 
 
+@given(st.floats(-13.0, -5.0), st.sampled_from([1.0, -1.0]))
+@example(log_a=-7.0, sign=1.0)
+@example(log_a=-8.0, sign=1.0)
+@example(log_a=-10.0, sign=1.0)
+@settings(max_examples=200, deadline=None)
+def test_project_partial_returns_exactly_when_feasible(log_a, sign):
+    # The violated row (a, -0.5) on v = e2 is nearly orthogonal to
+    # Im E = span{e1} and needs eta = 0.5 / a.  The projection reads the unit
+    # rows that phase-1 reads, so it corrects v exactly when phase-1 says the
+    # cone meets v + Im E, and raises Infeasible otherwise.
+    a = sign * 10.0**log_a
+    cone = PolyhedralCone(dim=2, rows=np.array([[a, -0.5]]))
+    E = ProjectionSubspace(2, np.array([[1.0], [0.0]]))
+    v = np.array([0.0, 1.0])
+    if not feasible(cone, E, v):
+        with pytest.raises(Infeasible):
+            project_partial(cone, E, v)
+        return
+    res = project_partial(cone, E, v)
+    assert res.eta[0] == pytest.approx(0.5 / a, rel=1e-9)
+
+
 def _rows_as_instance(a, c):
     """Cone, subspace and v whose phase-1 rows are (a_i, c_i) up to the
     unit normalization: rows (a_i, -c_i) on (eta, 1), v = e_last."""
@@ -482,6 +504,17 @@ def kkt_instances(draw):
 
 
 @given(kkt_instances())
+# The second row is orthogonal to Im E and violated: Infeasible.  A solve that
+# inverts the row's roundoff-sized part along Im E returns eta ~ -4e16.
+@example(
+    instance=(
+        PolyhedralCone(
+            dim=2, rows=np.array([[0.19217965, -0.98135976], [0.72436774, 0.6894138]])
+        ),
+        ProjectionSubspace(2, np.array([[-0.6894138], [0.72436774]])),
+        np.array([-1.78722985, -3.21370725]),
+    )
+)
 @settings(max_examples=300, deadline=None)
 def test_batched_kkt_matches_gelsy_reference(instance):
     cone, E, v = instance
