@@ -9,7 +9,6 @@ every projection claim.
 
 from . import errors
 from .errors import (
-    BranchContradiction,
     CqViolated,
     DegenerateKKT,
     DegenerateSector,

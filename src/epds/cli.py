@@ -9,6 +9,7 @@ plus rename).  Set EPDS_LOG to error, info or debug to control logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -152,7 +153,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by ``main``."""
     parser = argparse.ArgumentParser(
         prog="epds",
         description="Partially projected dynamical systems: simulate and verify.",
@@ -164,31 +167,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--h", type=float, default=None, help="override step size")
     p_run.add_argument("--T", type=float, default=None, help="override horizon")
-    p_run.set_defaults(func=cmd_run)
 
     p_vp = sub.add_parser("verify-projection", help="solver-versus-oracle random suite")
     p_vp.add_argument("--count", type=int, default=10_000)
     p_vp.add_argument("--seed", type=int, default=0)
     p_vp.add_argument("--max-dim", type=int, default=6)
-    p_vp.set_defaults(func=cmd_verify_projection)
 
     p_vk = sub.add_parser("verify-krasovskii", help="hull equality / failure pattern sweep")
     p_vk.add_argument("--count", type=int, default=1_000)
     p_vk.add_argument("--seed", type=int, default=0)
-    p_vk.set_defaults(func=cmd_verify_krasovskii)
 
     p_sw = sub.add_parser("sweep", help="convergence study over step sizes")
     p_sw.add_argument("scenario", help="scenario JSON file")
     p_sw.add_argument("--h-list", required=True, help="comma-separated decreasing steps")
     p_sw.add_argument("--out", default=None, help="optional report JSON path")
-    p_sw.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Looked up per call, not stored in the cached parser, so that a later
+    # rebinding of a cmd_* function (as span tracing does) takes effect.
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -29,14 +29,6 @@ class DegenerateKKT(EpdsError):
     """
 
 
-class BranchContradiction(EpdsError):
-    """Both sector branches were feasible but produced different optima.
-
-    Impossible in exact arithmetic; raised instead of silently merging so
-    numerical violations of the uniqueness claim surface immediately.
-    """
-
-
 class NoFeasiblePoint(EpdsError):
     """The oracle found no feasible point: Dykstra's projections stalled,
     the grid missed even after doubling its box, and the LP seed failed."""

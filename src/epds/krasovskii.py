@@ -45,8 +45,8 @@ from .projection import (
 
 # Vertices closer than this are one vertex (absolute, per design).
 DEDUP_TOL = 1e-10
-# Barycentric enumeration switches to extreme-point reduction above this
-# many grid combinations; the hull itself is unchanged by the reduction.
+# Largest barycentric grid verify_equality builds; shipped hulls have at
+# most 4 vertices, 176,851 points at resolution 0.01.
 _GRID_LIMIT = 500_000
 
 
@@ -185,8 +185,8 @@ class VerificationReport:
     ``holds`` is true when every enumerated hull point inside the tangent
     cone sits within ``witness_tol`` of the projection; ``witnesses`` lists
     in-cone combinations that do not (capped for readability, with the full
-    count in ``n_witnesses``).  The check samples a barycentric grid rather
-    than intersecting polytopes exactly; ``note`` records that caveat.
+    count in ``n_witnesses``).  The check samples a barycentric grid of
+    ``resolution`` rather than intersecting polytopes exactly.
     """
 
     holds: bool
@@ -197,7 +197,6 @@ class VerificationReport:
     n_witnesses: int
     resolution: float
     witness_tol: float
-    note: str
 
     def to_json(self) -> dict:
         return {
@@ -234,32 +233,6 @@ def _compositions(total: int, k: int) -> np.ndarray:
     return out
 
 
-def _extreme_points(V: np.ndarray) -> np.ndarray:
-    """Drop generators lying in the hull of the others (hull unchanged)."""
-    import scipy.optimize
-
-    k = V.shape[0]
-    if k <= 2:
-        return V
-    keep = []
-    for i in range(k):
-        others = np.delete(V, i, axis=0)
-        A_eq = np.vstack([np.ones((1, others.shape[0])), others.T])
-        b_eq = np.concatenate([[1.0], V[i]])
-        res = scipy.optimize.linprog(
-            np.zeros(others.shape[0]),
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * others.shape[0],
-            method="highs",
-        )
-        if not res.success:
-            keep.append(i)
-    if not keep:  # all generators coincide numerically
-        return V[:1]
-    return V[keep]
-
-
 def _contains_many(T: PolyhedralCone, P: np.ndarray, tol: float = EPS_CONE) -> np.ndarray:
     if not T.convex:
         return _contains_many(T.parts[0], P, tol) | _contains_many(T.parts[1], P, tol)
@@ -280,23 +253,17 @@ def verify_equality(
     """Check that hull points inside T collapse onto the projection.
 
     Enumerates convex combinations of the hull vertices with barycentric
-    coordinates on a grid of the given resolution.  When the combination
-    count would be excessive the generator list is first reduced to its
-    extreme points, which leaves the hull (and hence ``holds``) unchanged
-    but may thin the reported witnesses.
+    coordinates on a grid of the given resolution.  Raises ValueError,
+    before building it, when the grid would exceed _GRID_LIMIT points.
     """
     if not (0.0 < simplex_resolution <= 1.0):
         raise ValueError("simplex_resolution must lie in (0, 1]")
     V = np.atleast_2d(hull.vertices)
     n_steps = max(1, int(round(1.0 / simplex_resolution)))
-    note = "barycentric grid check, not an exact polytope intersection"
-
     k = V.shape[0]
-    if k > 1 and math.comb(n_steps + k - 1, k - 1) > _GRID_LIMIT:
-        V = _extreme_points(V)
-        k = V.shape[0]
-        note += "; generators reduced to extreme points before enumeration"
-
+    n_points = math.comb(n_steps + k - 1, k - 1)
+    if n_points > _GRID_LIMIT:
+        raise ValueError(f"{k} vertices need {n_points} grid points, over {_GRID_LIMIT}")
     if k == 1:
         P = V.copy()
     else:
@@ -320,5 +287,4 @@ def verify_equality(
         n_witnesses=n_witnesses,
         resolution=simplex_resolution,
         witness_tol=witness_tol,
-        note=note,
     )

@@ -145,16 +145,9 @@ def _edge_directions(rows: np.ndarray) -> list[np.ndarray]:
     return dirs
 
 
-def _line_min(eta, d, G, g, Q):
-    """Exact constrained minimizer of |E(eta + t d)| along the line.
-
-    The feasible t-interval comes from interval arithmetic on the rows; the
-    objective is a one-dimensional quadratic, so the constrained minimizer
-    is its vertex clamped to the interval.
-    """
-    Gd = G @ d if G.shape[0] else np.zeros(0)
-    r = g - G @ eta if G.shape[0] else np.zeros(0)
-    scale = 1.0 + np.abs(g) if g.size else np.zeros(0)
+def _t_interval(Gd, r, scale):
+    """Interval (tmin, tmax) of the t with Gd_j t >= r_j for all j, or None
+    if empty, on plain floats; a row with |Gd_j| <= 1e-14 must hold alone."""
     tmin, tmax = -math.inf, math.inf
     for c, rj, sj in zip(Gd, r, scale):
         if c > 1e-14:
@@ -165,6 +158,20 @@ def _line_min(eta, d, G, g, Q):
             return None
     if tmin > tmax:
         return None
+    return tmin, tmax
+
+
+def _line_min(eta, d, G, g, Q):
+    """Exact constrained minimizer of |E(eta + t d)| along the line.
+
+    The feasible t-interval comes from ``_t_interval`` on the rows; the
+    objective is a one-dimensional quadratic, so the constrained minimizer
+    is its vertex clamped to the interval.
+    """
+    interval = _t_interval((G @ d).tolist(), (g - G @ eta).tolist(), (1.0 + np.abs(g)).tolist())
+    if interval is None:
+        return None
+    tmin, tmax = interval
     qd = float(d @ Q @ d)
     if qd <= 0.0:
         return None

@@ -17,11 +17,11 @@ still collected so callers can check uniqueness.  The supports and the
 phase-1 feasibility test read the same unit-normalized rows with one
 vanishing-row cutoff, so they agree on which cones meet v + Im E.
 
-The sector path has a closed form at the origin: per branch, the admissible
-vertical velocities form the interval with endpoints k1*edot and k2*edot
-(appropriately oriented), and the projection clamps the candidate into it.
-When both branches are feasible their optima must coincide; disagreement
-raises instead of being merged.
+The sector path has a closed form at the origin, where the tangent cone is
+the sector itself: whichever branch admits edot, the admissible vertical
+velocities form the interval with endpoints k1*edot and k2*edot, and the
+projection clamps the candidate into it (``vstar_selector``).  The
+verification suite solves each branch on its own to check that claim.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BranchContradiction, Infeasible, DegenerateKKT, NotInSet, RankDeficient
+from .errors import Infeasible, DegenerateKKT, NotInSet, RankDeficient
 from .geometry import (
     PolyhedralCone,
     Sector,
@@ -42,7 +42,7 @@ from .geometry import (
     sector_tangent_cone,
 )
 
-# Sign tolerance for KKT multipliers.
+# Sign tolerance for KKT multipliers, relative to the support's largest.
 EPS_DUAL = 1e-10
 # A unit row whose part along Im E is at most this long vanishes on Im E.
 EPS_VANISH = 1e-12
@@ -192,7 +192,9 @@ def _kkt_optima(Gn: np.ndarray, gn: np.ndarray) -> np.ndarray:
     Gn_S^T lam given by lam = 2 (Gn_S^+)^T eta'; all supports of one size
     share one stacked pseudo-inverse.  S passes when its rows hold with
     equality, every row holds up to its own terms (so that no violation is
-    too small to be corrected) and the multipliers are nonnegative.  The rows
+    too small to be corrected) and the multipliers are nonnegative up to
+    EPS_DUAL times the largest of them (with no absolute floor, so that a
+    small instance cannot pass a wrong-signed support).  The rows
     are the unit rows of ``_phase1_rows``, so a row that vanishes on Im E is
     zero here and is never inverted.
     """
@@ -208,11 +210,10 @@ def _kkt_optima(Gn: np.ndarray, gn: np.ndarray) -> np.ndarray:
         lam = 2.0 * np.einsum("cji,cj->ci", P, eta)
         resid = np.linalg.norm(np.einsum("cij,cj->ci", GS, eta) - gS, axis=1)
         floor = np.abs(gn) + np.outer(np.linalg.norm(eta, axis=1), Gn_norms)
-        lam_scale = np.maximum(1.0, np.abs(lam).max(axis=1))
         ok = (
             (resid <= 1e-8 * (1.0 + np.linalg.norm(gS, axis=1)))
             & np.all(eta @ Gn.T - gn >= -1e-9 * floor, axis=1)
-            & (lam.min(axis=1) >= -EPS_DUAL * lam_scale)
+            & (lam.min(axis=1) >= -EPS_DUAL * np.abs(lam).max(axis=1))
         )
         optima.append(eta[ok])
     return np.concatenate(optima)
@@ -265,34 +266,14 @@ def project_partial(
 # ---------------------------------------------------------------------------
 
 
-def _corner_branch_clamp(sec: Sector, edot: float, udot: float, branch: str):
-    """Closed-form branch solve at the origin.
-
-    Returns (feasible, clamped udot).  The K branch admits vertical
-    velocities in [k1*edot, k2*edot], which is an interval only when
-    edot >= 0; -K mirrors it for edot <= 0.
-    """
-    tol = 1e-12 * (1.0 + abs(edot))
-    lo, hi = sec.k1 * edot, sec.k2 * edot
-    if branch == "K":
-        if edot < -tol:
-            return False, 0.0
-    else:
-        if edot > tol:
-            return False, 0.0
-        lo, hi = hi, lo
-    lo, hi = min(lo, hi), max(lo, hi)
-    return True, min(max(udot, lo), hi)
-
-
 def sector_project(sec: Sector, s, w) -> ProjectionResult:
     """Projection of (edot, udot-candidate) into the sector tangent cone.
 
     On convex strata this delegates to project_partial on the local branch
     cone; that KKT path is the reference for the closed-form field of
-    ``pbc.closed_loop_rhs``.  At the origin both branch intervals are solved
-    in closed form; empty branches are discarded, and when both survive
-    their optima are asserted equal before returning.
+    ``pbc.closed_loop_rhs``.  At the origin T_S(0) = S, so v* is the clamp
+    of ``vstar_selector`` on the branch that admits edot: K when edot >= 0,
+    -K otherwise.
     """
     s = _as_vector(s, 2)
     w = _as_vector(w, 2)
@@ -305,18 +286,8 @@ def sector_project(sec: Sector, s, w) -> ProjectionResult:
         return replace(res, branch="K" if pos.in_k else "minusK")
 
     edot, udot = float(w[0]), float(w[1])
-    ok_k, u_k = _corner_branch_clamp(sec, edot, udot, "K")
-    ok_m, u_m = _corner_branch_clamp(sec, edot, udot, "minusK")
-    if ok_k and ok_m:
-        if abs(u_k - u_m) > 1e-9 * (1.0 + abs(udot)):
-            raise BranchContradiction(
-                f"K gives {u_k}, -K gives {u_m} for w={w.tolist()} at the origin"
-            )
-    if not (ok_k or ok_m):  # cannot happen: one of edot>=0, edot<=0 holds
-        raise Infeasible("no sector branch admits the correction")
-
-    branch = "K" if ok_k else "minusK"
-    ustar = u_k if ok_k else u_m
+    ustar = vstar_selector(sec, pos, edot, udot)
+    branch = "K" if edot >= 0.0 else "minusK"
     eta = np.array([ustar - udot])
     w_out = np.array([edot, ustar])
     cone = sec.cone_k() if branch == "K" else sec.cone_minus_k()

@@ -7,11 +7,12 @@ ready for JSON serialization.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
-from .errors import BranchContradiction, NoFeasiblePoint
+from .errors import NoFeasiblePoint
 from .geometry import (
     ConstraintSet,
     PolyhedralCone,
@@ -22,7 +23,7 @@ from .geometry import (
     tangent_cone,
 )
 from .krasovskii import krasovskii_vertices, sector_krasovskii_vertices, verify_equality
-from .oracle import oracle_project
+from .oracle import _t_interval, oracle_project
 from .projection import (
     EPS_PHASE1,
     ProjectionSubspace,
@@ -36,7 +37,8 @@ from .projection import (
 
 # Largest |w_solver - w_oracle| that counts as agreement.
 _MISMATCH_TOL = 1e-6
-# Random sector-origin projections checked for branch contradictions.
+# Random sector-origin projections checked branch by branch; every third
+# has edot = 0, where both branches are feasible.
 _SECTOR_ORIGIN_COUNT = 1_000
 # Well-posed instances are feasible with |eta_i| <= _BOUND_FACTOR (1 + |v|).
 _BOUND_FACTOR = 30.0
@@ -107,14 +109,30 @@ def well_posed_instance(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarr
     return bool(_phase1(rows, rhs) <= EPS_PHASE1)
 
 
+def _branch_vstar(cone: PolyhedralCone, w) -> float | None:
+    """u of the projection of w = (e, u) along (0, 1) into one convex sector
+    branch, or None if the branch misses it: the least |t| with
+    (a_i . (0, 1)) t >= -a_i . w, by interval arithmetic on the rows."""
+    e, u = w
+    rows = cone.rows.tolist()
+    r = [-(a * e + b * u) for a, b in rows]
+    interval = _t_interval([b for _, b in rows], r, [1.0 + abs(x) for x in r])
+    if interval is None:
+        return None
+    tmin, tmax = interval
+    return u + min(max(0.0, tmin), tmax)
+
+
 def verify_projection(count: int = 10_000, seed: int = 0, max_dim: int = 6) -> dict:
     """Solver-versus-oracle equivalence plus the uniqueness properties.
 
     Feasible random instances are compared in |w|; infeasible draws are
     skipped and counted.  Each instance must also produce exactly one
-    distinct optimum among passing KKT subsets, and random sector-origin
-    projections must never raise a branch contradiction.  ``elapsed_s``
-    and ``instances_per_s`` time the whole suite, both parts counted.
+    distinct optimum among passing KKT subsets.  At the sector origin each
+    branch of K u -K is solved on its own, and a branch contradiction is a
+    case where none is feasible or a feasible one's optimum is more than
+    1e-9 (1 + |w|) from ``sector_project``'s v*.  ``elapsed_s`` and
+    ``instances_per_s`` time the whole suite, both parts counted.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -157,14 +175,19 @@ def verify_projection(count: int = 10_000, seed: int = 0, max_dim: int = 6) -> d
 
     branch_contradictions = 0
     sec_rng = np.random.default_rng(seed + 1)
-    for _ in range(_SECTOR_ORIGIN_COUNT):
+    for i in range(_SECTOR_ORIGIN_COUNT):
         k1 = float(sec_rng.uniform(-2.0, 2.0))
         k2 = k1 + float(sec_rng.uniform(0.1, 3.0))
         sec = Sector(k1, k2)
         w = sec_rng.standard_normal(2) * 2.0
-        try:
-            sector_project(sec, (0.0, 0.0), w)
-        except BranchContradiction:
+        if i % 3 == 0:
+            w[0] = 0.0
+        vstar = float(sector_project(sec, (0.0, 0.0), w).w[1])
+        w = w.tolist()
+        tol = 1e-9 * (1.0 + math.hypot(*w))
+        optima = [_branch_vstar(c, w) for c in (sec.cone_k(), sec.cone_minus_k())]
+        optima = [u for u in optima if u is not None]
+        if not optima or any(abs(u - vstar) > tol for u in optima):
             branch_contradictions += 1
 
     elapsed = time.perf_counter() - t0

@@ -9,6 +9,7 @@ import pytest
 
 from epds import (
     ConstraintSet,
+    KrasovskiiHull,
     ProjectionSubspace,
     Sector,
     affine_constraint,
@@ -21,6 +22,7 @@ from epds import (
     tangent_cone,
     verify_equality,
 )
+import epds.krasovskii
 from epds.krasovskii import DEDUP_TOL, _compositions
 from epds.projection import sector_subspace
 from conftest import corner_cones, orthant
@@ -178,6 +180,34 @@ def test_grid_independence(rng):
         r1 = verify_equality(hull, T, pi, 0.02)
         r2 = verify_equality(hull, T, pi, 0.01)
         assert r1.holds == r2.holds
+
+
+def test_grid_guard_rejects_oversized_hulls_before_building(monkeypatch):
+    # Shipped hulls have at most 4 vertices: 176,851 grid points at
+    # resolution 0.01.  Six vertices would need C(105, 5) ~ 9.6e7, which
+    # verify_equality refuses before it builds anything.
+    cset, f = orthant(), np.array([-1.0, -1.0])
+    E = ProjectionSubspace.full(2)
+    cone = tangent_cone(cset, np.zeros(2))
+    pi = project_partial(cone, E, f)
+    hull = krasovskii_vertices(cset, E, (0.0, 0.0), f)
+    assert hull.n_vertices == 4 and math.comb(100 + 3, 3) == 176_851
+    assert verify_equality(hull, cone, pi, 0.01).holds
+
+    extra = np.array([[-0.5, -1.0], [-1.0, -0.5]])
+    six = KrasovskiiHull(
+        vertices=np.vstack([hull.vertices, extra]),
+        subset_labels=hull.subset_labels + ((), ()),
+        point=hull.point,
+        field_value=hull.field_value,
+    )
+
+    def no_grid(total, k):
+        raise AssertionError(f"built a grid for {k} vertices")
+
+    monkeypatch.setattr(epds.krasovskii, "_compositions", no_grid)
+    with pytest.raises(ValueError, match="grid points"):
+        verify_equality(six, cone, pi, 0.01)
 
 
 def test_report_json_shape():

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,9 +372,8 @@ def test_dykstra_float_sweep_matches_reference():
 def test_verify_passes_do_not_load_scipy():
     # At seed 9 every oracle branch is seeded by Dykstra or the grid, so the
     # pass never imports scipy.optimize for the LP seed, and the solver path
-    # imports no scipy at all; the Krasovskii pass at seed 3 needs no hull
-    # reduction either.  Importing scipy would add to a pass's time and
-    # memory.
+    # and the Krasovskii pass import no scipy at all.  Importing scipy would
+    # add to a pass's time and memory.
     code = (
         "import sys\n"
         "from epds.verify import verify_krasovskii, verify_projection\n"
@@ -384,6 +385,18 @@ def test_verify_passes_do_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_oracle_imports_scipy():
+    # The oracle's LP seed is the package's last scipy call; moving scipy to
+    # the test extra needs that to stay so.
+    pkg = Path(oracle.__file__).parent
+    importers = [
+        str(p.relative_to(pkg))
+        for p in sorted(pkg.rglob("*.py"))
+        if re.search(r"^\s*(import|from)\s+scipy\b", p.read_text(encoding="utf-8"), re.M)
+    ]
+    assert importers == ["oracle.py"]
 
 
 def test_tangent_membership_examples():

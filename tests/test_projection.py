@@ -25,8 +25,14 @@ from epds import (
     sector_tangent_cone,
     vstar_selector,
 )
+import epds.projection
 from epds.projection import EPS_DUAL, EPS_DUP, _phase1, _phase1_rows
-from epds.verify import random_projection_instance, random_rows, well_posed_instance
+from epds.verify import (
+    random_projection_instance,
+    random_rows,
+    verify_projection,
+    well_posed_instance,
+)
 
 
 def vertical_subspace():
@@ -219,12 +225,45 @@ def test_vstar_selector_agrees_with_sector_project(rng):
             k_line = sec.k1 if mode == 1 else sec.k2
             s = np.array([e, k_line * e])
         w = rng.standard_normal(2) * 2
-        res = sector_project(sec, s, w)
+        if mode == 0:
+            # sector_project's corner is vstar_selector itself, so the
+            # reference is the KKT solve on the branch cone that admits edot.
+            branch = sec.cone_k() if w[0] >= 0.0 else sec.cone_minus_k()
+            assert feasible(branch, sector_subspace(), w)
+            res = project_partial(branch, sector_subspace(), w)
+        else:
+            res = sector_project(sec, s, w)
         v = vstar_selector(sec, sec.classify(*s.tolist()), float(w[0]), float(w[1]))
         assert v == pytest.approx(float(res.w[1]), abs=1e-9)
         assert min(
             abs(v - w[1]), abs(v - sec.k1 * w[0]), abs(v - sec.k2 * w[0])
         ) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1.0, 1e6])
+def test_kkt_sign_test_is_scale_free(scale):
+    # K of Sector(-1, 0) along (0, 1) from w = scale * (1, 1): the optimum is
+    # the upper line, u = 0.  The lower line's support has a negative
+    # multiplier of order scale, which an absolute floor on the sign test
+    # let pass first.
+    res = project_partial(Sector(-1.0, 0.0).cone_k(), sector_subspace(), (scale, scale))
+    assert res.w.tolist() == pytest.approx([scale, 0.0], abs=1e-12 * scale)
+
+
+def test_branch_check_fires_on_a_wrong_corner_clamp(monkeypatch):
+    # Criterion 2 solves each sector branch at the origin on its own, so a
+    # corner clamp whose upper end is 1.5 times too far must read as branch
+    # contradictions.
+    clamp = epds.projection.vstar_selector
+
+    def stretched(sec, pos, edot, fc1):
+        if pos.label != "corner":
+            return clamp(sec, pos, edot, fc1)
+        k1e, k2e = sec.k1 * edot, sec.k2 * edot
+        return float(min(max(fc1, min(k1e, k2e)), 1.5 * max(k1e, k2e)))
+
+    monkeypatch.setattr(epds.projection, "vstar_selector", stretched)
+    assert verify_projection(count=1, seed=0)["branch_contradictions"] > 0
 
 
 @given(st.integers(0, 10_000))

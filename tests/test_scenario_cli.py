@@ -9,7 +9,7 @@ import pytest
 
 import epds
 from epds import ScenarioError, scenario_from_json
-from epds.cli import main
+from epds.cli import build_parser, main
 from epds.scenario import build_runtime
 
 HIGS_DOC = {
@@ -167,6 +167,20 @@ def test_cmd_run_override_flags(tmp_path, capsys):
     assert rc == 0
     captured = json.loads(capsys.readouterr().out)
     assert captured["steps"] == 10
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # The parser is built once per process; parsing must still start from
+    # the defaults on every call, so a --T given once does not stick.
+    path = write_scenario(tmp_path, HIGS_DOC)
+    assert main(["run", path, "--out", str(tmp_path / "a"), "--T", "0.2"]) == 0
+    assert json.loads(capsys.readouterr().out)["horizon"] == 0.2
+    assert main(["run", path, "--out", str(tmp_path / "b")]) == 0
+    assert json.loads(capsys.readouterr().out)["horizon"] == HIGS_DOC["horizon"]
+    assert main(["verify-krasovskii", "--count", "3", "--seed", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["finite_cases"] == 3
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().misses == 1
 
 
 def assert_throughput(out, instances):
