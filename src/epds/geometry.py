@@ -352,8 +352,8 @@ class Sector:
 
     Equals K union -K with K = {u >= k1 e, u <= k2 e}.  The vertical line
     span{(0,1)} meets the sector only at the origin and the sector plus that
-    line covers the plane; both structural facts hold for every k1 < k2 and
-    are asserted at construction.
+    line covers the plane; both structural facts hold for every k1 < k2
+    (a property test states them).
     """
 
     k1: float
@@ -364,12 +364,6 @@ class Sector:
         object.__setattr__(self, "k2", float(self.k2))
         if not self.k1 < self.k2:
             raise DegenerateSector(f"need k1 < k2, got k1={self.k1}, k2={self.k2}")
-        # span{(0,1)} meets S only at 0:  (u)(u) = u^2 > 0 off the origin.
-        for u in (1.0, -1.0):
-            assert self.residual((0.0, u)) > 0.0
-        # S + span{(0,1)} is the whole plane: (e, k1 e) lies in S for any e.
-        for e in (-1.0, 0.0, 1.0, 7.5):
-            assert self.contains((e, self.k1 * e))
 
     def residual(self, s) -> float:
         e, u = _as_vector(s, 2).tolist()

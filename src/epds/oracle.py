@@ -72,7 +72,7 @@ def _lp_feasible_seed(G, g):
     """
     import scipy.optimize
 
-    k, n_e = G.shape
+    n_e = G.shape[1]
     rn = np.linalg.norm(G, axis=1)
     res = scipy.optimize.linprog(
         np.concatenate([np.zeros(n_e), [-1.0]]),

@@ -14,8 +14,8 @@ That projection has a closed form: the z1-rate is fc1 clamped into the
 interval that the tight sector lines impose (k1*edot and/or k2*edot, oriented
 by the branch), and at the corner the interval of whichever branch admits
 edot.  ``closed_loop_rhs`` evaluates it in plain floats through
-``projection.vstar_selector``; the general KKT projection
-(``projection.sector_project``) and the brute-force oracle are kept as its
+``projection.vstar_selector``; the KKT projection (``project_partial`` on
+``sector_tangent_cone``) and the brute-force oracle are kept as its
 references, not on the simulation path.
 """
 
@@ -163,7 +163,7 @@ def closed_loop_rhs(sys: ClosedLoopSystem, xi, w: float = 0.0) -> RhsEval:
     the point's position admits (``vstar_selector``), with the point
     classified once by ``Sector.classify``: off the corner the tight sector
     line bounds it, at the corner the branch that admits edot does.
-    ``sector_project`` (KKT enumeration off the corner) and
+    ``project_partial`` on ``sector_tangent_cone`` (KKT enumeration) and
     ``oracle_project`` are its references in the tests.
     """
     xi = _as_vector(xi, sys.dim)

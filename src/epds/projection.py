@@ -17,18 +17,18 @@ still collected so callers can check uniqueness.  The supports and the
 phase-1 feasibility test read the same unit-normalized rows with one
 vanishing-row cutoff, so they agree on which cones meet v + Im E.
 
-The sector path has a closed form at the origin, where the tangent cone is
-the sector itself: whichever branch admits edot, the admissible vertical
-velocities form the interval with endpoints k1*edot and k2*edot, and the
-projection clamps the candidate into it (``vstar_selector``).  The
-verification suite solves each branch on its own to check that claim.
+The sector path has a closed form on every stratum: only the vertical
+coordinate is corrected, so ``sector_project`` clamps the candidate into the
+interval that the tight lines admit, at the origin that of the branch which
+admits edot (``vstar_selector``).  The KKT solve is its reference in the
+tests, and the verification suite solves each origin branch on its own.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .geometry import (
     SectorPosition,
     _as_vector,
     _readonly,
-    sector_tangent_cone,
 )
 
 # Sign tolerance for KKT multipliers, relative to the support's largest.
@@ -104,9 +103,11 @@ class ProjectionResult:
 
     w = v + E eta, with ``eta`` in the coordinates of the caller's basis E,
     ``correction_norm`` = |w - v|, ``active_indices`` the cone rows tight
-    at w, ``branch`` one of 'none' / 'K' / 'minusK' (sector paths only) and
-    ``n_distinct_optima`` the number of distinct optima found among passing
-    supports (must be 1; exposed for the uniqueness suite).
+    at w (for ``sector_project``: 0 for u = k1 e, 1 for u = k2 e, each when
+    it bounds the tangent cone at s and is tight at w), ``branch`` one of
+    'none' / 'K' / 'minusK' (sector paths only) and ``n_distinct_optima``
+    the number of distinct optima found among passing supports (must be 1;
+    exposed for the uniqueness suite).
     """
 
     w: np.ndarray
@@ -196,13 +197,15 @@ def _kkt_optima(Gn: np.ndarray, gn: np.ndarray) -> np.ndarray:
     EPS_DUAL times the largest of them (with no absolute floor, so that a
     small instance cannot pass a wrong-signed support).  The rows
     are the unit rows of ``_phase1_rows``, so a row that vanishes on Im E is
-    zero here and is never inverted.
+    zero here and is never inverted.  Supports stop at n_E rows: by
+    Caratheodory's theorem for cones the optimum is reached on at most n_E
+    independent active rows, so a larger support only repeats it.
     """
     m, n_e = Gn.shape
     Gn_norms = np.linalg.norm(Gn, axis=1)
     # The empty support's solution is eta' = 0, which passes iff A v >= 0.
     optima = [np.zeros((int(np.all(gn <= 0.0)), n_e))]
-    for size in range(1, m + 1):
+    for size in range(1, min(m, n_e) + 1):
         S = _supports(m, size)
         GS, gS = Gn[S], gn[S]
         P = np.linalg.pinv(GS)
@@ -269,11 +272,10 @@ def project_partial(
 def sector_project(sec: Sector, s, w) -> ProjectionResult:
     """Projection of (edot, udot-candidate) into the sector tangent cone.
 
-    On convex strata this delegates to project_partial on the local branch
-    cone; that KKT path is the reference for the closed-form field of
-    ``pbc.closed_loop_rhs``.  At the origin T_S(0) = S, so v* is the clamp
-    of ``vstar_selector`` on the branch that admits edot: K when edot >= 0,
-    -K otherwise.
+    On every stratum the result is (edot, v*) with v* the clamp of
+    ``vstar_selector``; at the origin T_S(0) = S and the branch that admits
+    edot bounds it (K when edot >= 0, -K otherwise).  ``project_partial`` on
+    ``sector_tangent_cone`` is its reference in the tests.
     """
     s = _as_vector(s, 2)
     w = _as_vector(w, 2)
@@ -281,25 +283,17 @@ def sector_project(sec: Sector, s, w) -> ProjectionResult:
     if pos.label == "outside":
         raise NotInSet(f"{s.tolist()} is outside the sector")
 
-    if pos.label != "corner":
-        res = project_partial(sector_tangent_cone(sec, s), sector_subspace(), w)
-        return replace(res, branch="K" if pos.in_k else "minusK")
-
-    edot, udot = float(w[0]), float(w[1])
+    edot, udot = w.tolist()
     ustar = vstar_selector(sec, pos, edot, udot)
-    branch = "K" if edot >= 0.0 else "minusK"
-    eta = np.array([ustar - udot])
-    w_out = np.array([edot, ustar])
-    cone = sec.cone_k() if branch == "K" else sec.cone_minus_k()
-    slack = cone.rows @ w_out
-    scale = 1.0 + np.abs(slack) + np.linalg.norm(cone.rows, axis=1) * np.linalg.norm(w_out)
-    act = tuple(int(i) for i in np.flatnonzero(np.abs(slack) <= 1e-8 * scale))
+    corner = pos.label == "corner"
+    out = sec.classify(edot, ustar)
+    lines = (pos.lower or corner) and out.lower, (pos.upper or corner) and out.upper
     return ProjectionResult(
-        w=w_out,
-        eta=eta,
-        active_indices=act,
-        correction_norm=abs(float(eta[0])),
-        branch=branch,
+        w=(edot, ustar),
+        eta=(ustar - udot,),
+        active_indices=tuple(i for i in (0, 1) if lines[i]),
+        correction_norm=abs(ustar - udot),
+        branch="K" if (edot >= 0.0 if corner else pos.in_k) else "minusK",
     )
 
 

@@ -32,7 +32,6 @@ from .projection import (
     feasible,
     project_partial,
     sector_project,
-    sector_subspace,
 )
 
 # Largest |w_solver - w_oracle| that counts as agreement.
@@ -109,12 +108,11 @@ def well_posed_instance(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarr
     return bool(_phase1(rows, rhs) <= EPS_PHASE1)
 
 
-def _branch_vstar(cone: PolyhedralCone, w) -> float | None:
+def _branch_vstar(rows, w) -> float | None:
     """u of the projection of w = (e, u) along (0, 1) into one convex sector
-    branch, or None if the branch misses it: the least |t| with
-    (a_i . (0, 1)) t >= -a_i . w, by interval arithmetic on the rows."""
+    branch given by its line rows (a, b) as floats, or None if the branch
+    misses it: the least |t| with b_i t >= -(a_i e + b_i u), by intervals."""
     e, u = w
-    rows = cone.rows.tolist()
     r = [-(a * e + b * u) for a, b in rows]
     interval = _t_interval([b for _, b in rows], r, [1.0 + abs(x) for x in r])
     if interval is None:
@@ -185,7 +183,8 @@ def verify_projection(count: int = 10_000, seed: int = 0, max_dim: int = 6) -> d
         vstar = float(sector_project(sec, (0.0, 0.0), w).w[1])
         w = w.tolist()
         tol = 1e-9 * (1.0 + math.hypot(*w))
-        optima = [_branch_vstar(c, w) for c in (sec.cone_k(), sec.cone_minus_k())]
+        K = ((-k1, 1.0), (k2, -1.0))  # the rows of sec.cone_k(); -K negates them
+        optima = [_branch_vstar(rows, w) for rows in (K, [(-a, -b) for a, b in K])]
         optima = [u for u in optima if u is not None]
         if not optima or any(abs(u - vstar) > tol for u in optima):
             branch_contradictions += 1
@@ -282,7 +281,6 @@ def verify_krasovskii(count: int = 1_000, seed: int = 0) -> dict:
             grid_disagreements += 1
 
     sec_rng = np.random.default_rng(seed + 1)
-    E2 = sector_subspace()
     sector_cases = 0
     pattern_mismatches = 0
     corner_nonzero = 0

@@ -27,11 +27,11 @@ from epds import (
     sector_subspace,
     sector_tangent_cone,
     verify_equality,
-    vstar_selector,
 )
-from epds.projection import feasible
+import epds.projection
+from epds.projection import feasible, project_partial
 from epds.sim import SinusoidSegment
-from epds.verify import verify_projection, verify_krasovskii
+from epds.verify import _branch_vstar, verify_projection, verify_krasovskii
 from conftest import corner_cones, euler_time_embedded, make_higs_benchmark
 
 
@@ -155,9 +155,12 @@ def test_criterion_4_counterexample_reproduction():
     assert ok
 
 
-def test_criterion_5_piecewise_vstar_selection():
-    rng = np.random.default_rng(55)
-    n = 10_000
+def criterion_5_counts(n: int, seed: int) -> tuple[int, int]:
+    """(in_menu, agree) over n sector projections: v* in {fc1, k1*edot,
+    k2*edot}, and v* within 1e-9 of the KKT projection into the tangent cone
+    off the corner, of every branch that admits w at the corner (solved on
+    its own, at least one)."""
+    rng = np.random.default_rng(seed)
     agree = 0
     in_menu = 0
     for i in range(n):
@@ -176,17 +179,43 @@ def test_criterion_5_piecewise_vstar_selection():
         menu = (float(w[1]), sec.k1 * float(w[0]), sec.k2 * float(w[0]))
         if min(abs(vs - m) for m in menu) <= 1e-9:
             in_menu += 1
-        v_sel = vstar_selector(sec, sec.classify(*s.tolist()), float(w[0]), float(w[1]))
-        if abs(v_sel - vs) <= 1e-9:
+        if mode == 0:
+            K = ((-sec.k1, 1.0), (sec.k2, -1.0))
+            refs = [_branch_vstar(rows, w.tolist()) for rows in (K, [(-a, -b) for a, b in K])]
+            refs = [u for u in refs if u is not None]
+        else:
+            refs = [float(project_partial(sector_tangent_cone(sec, s), sector_subspace(), w).w[1])]
+        if refs and all(abs(u - vs) <= 1e-9 for u in refs):
             agree += 1
+    return in_menu, agree
+
+
+def test_criterion_5_piecewise_vstar_selection():
+    n = 10_000
+    in_menu, agree = criterion_5_counts(n, seed=55)
     ok = in_menu == n and agree == n
     report(
         5,
         "piecewise v* selection",
         ok,
-        f"{in_menu}/{n} in {{fc1, k1*edot, k2*edot}}, {agree}/{n} selector agreement",
+        f"{in_menu}/{n} in {{fc1, k1*edot, k2*edot}}, {agree}/{n} KKT agreement",
     )
     assert ok
+
+
+def test_criterion_5_fires_on_a_wrong_corner_clamp(monkeypatch):
+    # The agreement reference solves each branch at the corner on its own,
+    # so a corner clamp that always takes the lower end must disagree.
+    clamp = epds.projection.vstar_selector
+
+    def lower_end(sec, pos, edot, fc1):
+        if pos.label != "corner":
+            return clamp(sec, pos, edot, fc1)
+        return min(sec.k1 * edot, sec.k2 * edot)
+
+    monkeypatch.setattr(epds.projection, "vstar_selector", lower_end)
+    in_menu, agree = criterion_5_counts(300, seed=55)
+    assert in_menu == 300 and agree < 300
 
 
 def test_criterion_6_linear_growth_bound(higs):

@@ -154,8 +154,13 @@ def test_sector_decomposition_sampling(rng):
 @given(st.floats(-3, 3), st.floats(0.1, 3))
 @settings(max_examples=50, deadline=None)
 def test_sector_structural_invariants_hold_for_all_slopes(k1, width):
-    sec = Sector(k1, k1 + width)  # construction asserts the two structure facts
-    assert sec.contains((1.0, sec.k1))
+    sec = Sector(k1, k1 + width)
+    # span{(0,1)} meets the sector only at the origin: the residual is u^2.
+    for u in (1.0, -1.0):
+        assert sec.residual((0.0, u)) > 0.0
+    # The sector plus span{(0,1)} is the plane: (e, k1 e) lies in it for any e.
+    for e in (-1.0, 0.0, 1.0, 7.5):
+        assert sec.contains((e, sec.k1 * e))
 
 
 @given(

@@ -173,12 +173,15 @@ def test_growth_check_superlinear_negative_control():
 # At this scale a wrong-signed multiplier of -4e-11 used to pass the KKT
 # sign test, so the lower line's support won over the optimum v* = 0.
 @example(k1=-1.0, width=1.0, log_e=0.0, negative=False, place="origin", frac=0.0, edot=1e-11, fc1=1e-11)
+# Near the origin of a thin sector a point on a line is labelled corner, where
+# the tangent cone is the union that project_partial does not take.
+@example(k1=0.0, width=0.001, log_e=-6.0, negative=False, place="lower", frac=0.0, edot=0.0, fc1=0.0)
 @settings(max_examples=400, deadline=None)
 def test_closed_form_rhs_matches_kkt_projection(k1, width, log_e, negative, place, frac, edot, fc1):
-    # Fast path (closed_loop_rhs) against the reference (sector_project, which
-    # solves the KKT systems off the corner; at the corner, the KKT systems of
-    # one branch cone) through a 1-state plant x' = edot, e = x, and a
-    # 1-state controller z' = fc1, u = z.
+    # Fast path (closed_loop_rhs) against the reference (the KKT systems of
+    # the sector tangent cone off the corner; at the corner, those of one
+    # branch cone) through a 1-state plant x' = edot, e = x, and a 1-state
+    # controller z' = fc1, u = z.
     sec = Sector(k1, k1 + width)
     e = (-1.0 if negative else 1.0) * 10.0**log_e
     slope = {"lower": sec.k1, "near_lower": sec.k1, "upper": sec.k2, "near_upper": sec.k2}
@@ -201,17 +204,18 @@ def test_closed_form_rhs_matches_kkt_projection(k1, width, log_e, negative, plac
             sector_project(sec, (e, u), (edot, fc1))
         return
     fast = closed_loop_rhs(sys, np.array([e, u]))
-    if place == "origin":
-        # sector_project's corner is the same clamp as the fast path, so the
-        # reference solves the KKT systems of the branch cone that admits
-        # edot.  In exact arithmetic that is the one branch `feasible`
-        # admits (both at edot = 0); below its tolerance `feasible` admits
-        # the other branch too, whose KKT solve may then raise DegenerateKKT.
+    if sec.classify(e, u).label == "corner":
+        # The tangent cone is the non-convex union K u -K (at the origin, or
+        # near it on a thin sector), so the reference solves the KKT systems
+        # of the branch cone that admits edot.  In exact arithmetic that is
+        # the one branch `feasible` admits (both at edot = 0); below its
+        # tolerance `feasible` admits the other branch too, whose KKT solve
+        # may then raise DegenerateKKT.
         branch = sec.cone_k() if edot >= 0.0 else sec.cone_minus_k()
         assert feasible(branch, sector_subspace(), (edot, fc1))
         ref = project_partial(branch, sector_subspace(), (edot, fc1))
     else:
-        ref = sector_project(sec, (e, u), (edot, fc1))
+        ref = project_partial(sector_tangent_cone(sec, (e, u)), sector_subspace(), (edot, fc1))
     tol = 1e-12 * (1.0 + abs(fc1) + max(abs(sec.k1), abs(sec.k2)) * abs(edot))
     assert abs(fast.vstar - float(ref.w[1])) <= tol
     assert abs(fast.correction_norm - ref.correction_norm) <= tol

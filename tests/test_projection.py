@@ -30,6 +30,7 @@ from epds.projection import EPS_DUAL, EPS_DUP, _phase1, _phase1_rows
 from epds.verify import (
     random_projection_instance,
     random_rows,
+    random_subspace,
     verify_projection,
     well_posed_instance,
 )
@@ -144,22 +145,58 @@ def test_idempotence_when_already_in_cone(rng):
 
 
 def test_sector_project_examples():
+    # Active index 0 is the lower line u = k1 e, index 1 the upper line u = k2 e.
     sec = Sector(0.0, 1.0)
     # interior: unchanged
     res = sector_project(sec, (2.0, 1.0), (0.3, -0.7))
     assert np.allclose(res.w, [0.3, -0.7]) and res.correction_norm == 0.0
+    assert res.active_indices == ()
     # upper boundary, candidate pushes out
     res = sector_project(sec, (1.0, 1.0), (0.0, 1.0))
     assert np.allclose(res.w, [0.0, 0.0], atol=1e-12)
-    assert res.branch == "K"
+    assert res.branch == "K" and res.active_indices == (1,)
+    # corner, zero edot: both lines bound the cone and hold at w = 0
+    assert sector_project(sec, (0.0, 0.0), (0.0, 1.0)).active_indices == (0, 1)
     # corner, positive edot
     res = sector_project(sec, (0.0, 0.0), (1.0, 2.0))
     assert np.allclose(res.w, [1.0, 1.0]) and res.branch == "K"
+    assert res.active_indices == (1,)
     # corner, negative edot
     res = sector_project(sec, (0.0, 0.0), (-2.0, 1.0))
     assert np.allclose(res.w, [-2.0, 0.0]) and res.branch == "minusK"
     with pytest.raises(NotInSet):
         sector_project(sec, (0.0, 1.0), (0.0, 0.0))
+
+
+def test_sector_project_is_the_clamp_on_every_stratum(monkeypatch):
+    # No KKT solve, phase-1 test or cone construction on any stratum: the
+    # result is vstar_selector's clamp of the vertical velocity.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sector_project left the closed form")
+
+    for name in ("project_partial", "feasible", "sector_tangent_cone", "sector_subspace"):
+        monkeypatch.setattr(epds.projection, name, forbidden, raising=False)
+    monkeypatch.setattr(Sector, "cone_k", forbidden)
+    monkeypatch.setattr(Sector, "cone_minus_k", forbidden)
+    sec = Sector(-0.5, 2.0)
+    # An interior point, both lines of K, both lines of -K and the corner.
+    cases = [
+        ("interior", (1.0, 0.5)),
+        ("K", (1.0, -0.5)),
+        ("K", (1.0, 2.0)),
+        ("minusK", (-1.0, 0.5)),
+        ("minusK", (-1.0, -2.0)),
+        ("corner", (0.0, 0.0)),
+    ]
+    for label, s in cases:
+        pos = sec.classify(*s)
+        assert pos.label == label
+        for w in ((0.3, -0.7), (-1.2, 4.0), (2.0, 1.0), (0.0, -3.0)):
+            res = sector_project(sec, s, w)
+            v = vstar_selector(sec, pos, *w)
+            assert res.w.tolist() == [w[0], v]
+            assert res.eta.tolist() == [v - w[1]]
+            assert res.correction_norm == abs(v - w[1])
 
 
 def test_sector_project_matches_grid_oracle(rng):
@@ -225,15 +262,17 @@ def test_vstar_selector_agrees_with_sector_project(rng):
             k_line = sec.k1 if mode == 1 else sec.k2
             s = np.array([e, k_line * e])
         w = rng.standard_normal(2) * 2
+        # sector_project is vstar_selector's clamp on every stratum, so the
+        # reference is the KKT solve: on the tangent cone off the corner, on
+        # the branch cone that admits edot at it.
         if mode == 0:
-            # sector_project's corner is vstar_selector itself, so the
-            # reference is the KKT solve on the branch cone that admits edot.
-            branch = sec.cone_k() if w[0] >= 0.0 else sec.cone_minus_k()
-            assert feasible(branch, sector_subspace(), w)
-            res = project_partial(branch, sector_subspace(), w)
+            cone = sec.cone_k() if w[0] >= 0.0 else sec.cone_minus_k()
+            assert feasible(cone, sector_subspace(), w)
         else:
-            res = sector_project(sec, s, w)
+            cone = sector_tangent_cone(sec, s)
+        res = project_partial(cone, sector_subspace(), w)
         v = vstar_selector(sec, sec.classify(*s.tolist()), float(w[0]), float(w[1]))
+        assert sector_project(sec, s, w).w.tolist() == [w[0], v]
         assert v == pytest.approx(float(res.w[1]), abs=1e-9)
         assert min(
             abs(v - w[1]), abs(v - sec.k1 * w[0]), abs(v - sec.k2 * w[0])
@@ -569,3 +608,23 @@ def test_batched_kkt_matches_gelsy_reference(instance):
     assert res.active_indices == act_ref
     assert res.n_distinct_optima == n_ref
     assert np.linalg.norm(res.w - w_ref) <= 1e-10 * (1.0 + np.linalg.norm(w_ref))
+
+
+def test_kkt_optima_solves_supports_of_at_most_n_e_rows(monkeypatch):
+    # By Caratheodory's theorem for cones an optimum is reached on at most
+    # n_E independent active rows, so no larger support is solved.
+    supports = epds.projection._supports
+    sizes = []
+
+    def recording(m, size):
+        sizes.append(size)
+        return supports(m, size)
+
+    monkeypatch.setattr(epds.projection, "_supports", recording)
+    rng = np.random.default_rng(7)
+    cone = PolyhedralCone(dim=4, rows=random_rows(rng, 4, 4))
+    E = random_subspace(rng, 4, 2)
+    v = rng.standard_normal(4)
+    optima = epds.projection._kkt_optima(*_phase1_rows(cone, E, v))
+    assert sizes and max(sizes) <= E.n_e < cone.n_rows
+    assert len(optima) >= 1
