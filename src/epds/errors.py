@@ -30,8 +30,8 @@ class DegenerateKKT(EpdsError):
 
 
 class NoFeasiblePoint(EpdsError):
-    """The oracle found no feasible point: Dykstra's projections stalled,
-    the grid missed even after doubling its box, and the LP seed failed."""
+    """The oracle found no feasible point: Fourier-Motzkin elimination
+    proved every branch of the cone empty along v + Im E."""
 
 
 class ZeroOutputRow(EpdsError):

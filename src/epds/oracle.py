@@ -2,12 +2,10 @@
 
 This module certifies the closed-form solvers and is deliberately built on
 different mathematics: no KKT systems, no active-set enumeration.  The
-projection oracle seeds each convex branch with a feasible point from a
-chain of independent methods: Dykstra's alternating halfspace projections
-in the correction metric; where their sweeps stall, a dense grid over the
-correction coefficients, scored on its separable axes one constraint row at
-a time and never materialized; and, where the grid misses too, a
-max-margin LP.  It then refines the seed by exact one-dimensional
+projection oracle seeds each convex branch with one exact method,
+Fourier-Motzkin elimination of the correction coefficients (at most three
+eliminations for n_E <= 3), which returns a point of the branch or proves
+it empty.  It then refines the seed by exact one-dimensional
 minimization along the ray, along the Newton step projected onto each
 facet active at the point and along the edges where they meet, each line
 solved by interval arithmetic on the constraints.  The tangent-cone oracle
@@ -19,7 +17,6 @@ It may be orders of magnitude slower than the main solvers; that is fine.
 from __future__ import annotations
 
 import math
-from operator import add, mul, sub
 
 import numpy as np
 
@@ -27,111 +24,45 @@ from .errors import NoFeasiblePoint
 from .geometry import ConstraintSet, PolyhedralCone, Sector, _as_vector
 from .projection import ProjectionSubspace
 
-# Grid points per axis for n_E = 1 / 2 / 3, and exact-line-search passes.
-_GRID_POINTS = {1: 2001, 2: 201, 3: 51}
+# Exact-line-search passes.
 _REFINE_ITERS = 60
 
 
-def _is_feasible(eta: np.ndarray, G: np.ndarray, g: np.ndarray, slack: float) -> bool:
-    if G.shape[0] == 0:
-        return True
-    return bool(np.all(G @ eta >= g - slack))
+def _fm_seed(G, g):
+    """A point of {G eta >= g}, or None when that set is empty.
 
-
-def _grid_incumbent(G, g, Q, n_e, halfwidth, pts, slack):
-    """Best feasible point of the pts**n_E grid on [-halfwidth, halfwidth]**n_E.
-
-    The grid is scored on separable axes and never materialized: row i of
-    G @ eta is a broadcast sum of one scaled axis per coordinate, so the
-    feasibility mask is built row by row over the index box, and only the
-    feasible points are formed (in C order, so argmin breaks ties as a
-    ravelled ``meshgrid(indexing="ij")`` would).
+    Fourier-Motzkin elimination of the last coordinate, recursively.  Each
+    row (G_i, g_i) is scaled to unit length and exactly zero rows are
+    dropped; with no coordinates left the set is nonempty iff every g_i <= 0.
+    A row with last coefficient c > 1e-12 bounds that coordinate from below,
+    c < -1e-12 from above, and any other row passes through.  Each
+    lower/upper pair, each divided by its |c|, sums to one row free of the
+    coordinate; a sum no longer than 1e-9 (1/|c_p| + 1/|c_n|), the summed
+    length of its parts, is roundoff of 0 >= 0 and is dropped.  Back
+    substitution takes the value nearest 0 in the interval [lo, hi] that the
+    bounds leave, or its midpoint when lo > hi by roundoff.  One elimination
+    leaves at most max(m^2/4, m) of m rows, which n_E <= 3 keeps small.
     """
-    lin = np.linspace(-halfwidth, halfwidth, pts)
-    axes = [lin.reshape([pts if d == k else 1 for k in range(n_e)]) for d in range(n_e)]
-    mask = np.ones((pts,) * n_e, dtype=bool)
-    for row, bound in zip(G, g - slack):
-        mask &= sum(ax * c for ax, c in zip(axes, row)) >= bound
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+    norms = np.linalg.norm(np.column_stack([G, g]), axis=1)
+    keep = norms > 0.0
+    G, g = G[keep] / norms[keep, None], g[keep] / norms[keep]
+    if G.shape[1] == 0:
+        return np.zeros(0) if np.all(g <= 0.0) else None
+    c, R = G[:, -1], G[:, :-1]
+    lower, upper = c > 1e-12, c < -1e-12
+    rest = ~(lower | upper)
+    cl, cu = c[lower, None], -c[upper, None]
+    pair_rows = (R[lower] / cl)[:, None] + (R[upper] / cu)[None]
+    pair_g = (g[lower, None] / cl) + (g[upper, None] / cu).T
+    pair_rows, pair_g = pair_rows.reshape(pair_g.size, R.shape[1]), pair_g.ravel()
+    parts = (1.0 / cl + 1.0 / cu.T).ravel()
+    big = np.linalg.norm(np.column_stack([pair_rows, pair_g]), axis=1) > 1e-9 * parts
+    eta = _fm_seed(np.vstack([R[rest], pair_rows[big]]), np.concatenate([g[rest], pair_g[big]]))
+    if eta is None:
         return None
-    cand = lin[np.column_stack(np.unravel_index(idx, mask.shape))]
-    obj = np.einsum("ij,ij->i", cand @ Q, cand)
-    return cand[int(np.argmin(obj))]
-
-
-def _lp_feasible_seed(G, g):
-    """Deep feasible seed by maximizing the row-scaled margin (capped at 1).
-
-    The last rung of the seed chain, used only when Dykstra stalls outside
-    the feasible set and the grid misses it at both box sizes (wedges with
-    very small opening angles, far from the origin).  The seed merely
-    starts the geometric refinement, which owns optimality; None means the
-    branch is infeasible.  scipy.optimize is imported here, so a pass that
-    never reaches this rung never loads it.
-    """
-    import scipy.optimize
-
-    n_e = G.shape[1]
-    rn = np.linalg.norm(G, axis=1)
-    res = scipy.optimize.linprog(
-        np.concatenate([np.zeros(n_e), [-1.0]]),
-        A_ub=np.column_stack([-G, rn]),
-        b_ub=-g,
-        bounds=[(None, None)] * n_e + [(None, 1.0)],
-        method="highs",
-    )
-    if not res.success:
-        return None
-    eta, margin = res.x[:-1], res.x[-1]
-    if margin < -1e-9:
-        return None
-    return eta
-
-
-def _dykstra(G, g, Q, max_sweeps=6000):
-    """Projection of the origin onto {G eta >= g} in the |E .|-metric.
-
-    Classical alternating projections with Dykstra's corrections; each
-    halfspace projection is closed form in the Q-inner product.  Returns the
-    iterate after convergence or the sweep cap.  The sweeps run on plain
-    floats: with n_E <= 3 a row step is a handful of multiply-adds, which
-    small-array numpy would spend on allocation.
-    """
-    k, n_e = G.shape
-    if k == 0:
-        return np.zeros(n_e)
-    Qinv = np.linalg.inv(Q)
-    aQ = (Qinv @ G.T).T  # rows: Qinv a_j
-    denom = np.einsum("ij,ij->i", G, aQ)
-    denom = np.maximum(denom, 1e-30)
-    rows = list(zip(G.tolist(), g.tolist(), aQ.tolist(), denom.tolist()))
-    x = [0.0] * n_e
-    p = [[0.0] * n_e for _ in range(k)]
-    for _ in range(max_sweeps):
-        x_prev = x
-        for j, (a, gj, aq, dj) in enumerate(rows):
-            y = list(map(add, x, p[j]))
-            viol = gj - sum(map(mul, a, y))
-            if viol > 0.0:
-                s = viol / dj
-                x = [yi + s * qi for yi, qi in zip(y, aq)]
-                p[j] = list(map(sub, y, x))
-            else:
-                x = y
-                p[j] = [0.0] * n_e
-        if math.dist(x, x_prev) <= 1e-15 * (1.0 + math.hypot(*x)):
-            break
-    x = np.array(x)
-    # Dykstra approaches the set from outside; a few plain projection
-    # passes restore strict feasibility without moving the optimum.
-    for _ in range(100):
-        viol = g - G @ x
-        j = int(np.argmax(viol))
-        if viol[j] <= 0.0:
-            break
-        x = x + (viol[j] / denom[j]) * aQ[j]
-    return x
+    lo = np.max((g[lower] - R[lower] @ eta) / c[lower], initial=-math.inf)
+    hi = np.min((g[upper] - R[upper] @ eta) / c[upper], initial=math.inf)
+    return np.append(eta, 0.5 * (lo + hi) if lo > hi else min(max(0.0, lo), hi))
 
 
 def _edge_directions(rows: np.ndarray) -> list[np.ndarray]:
@@ -240,45 +171,28 @@ def _refine(eta, G, g, Q):
     return eta
 
 
-def _solve_convex(G, g, Q, n_e, halfwidth):
-    """One convex branch: the first feasible seed of the chain Dykstra,
-    grid, LP, refined by exact line searches; None if the branch is
-    infeasible.
-
-    Dykstra's iterate is taken when it meets every row to within
-    1e-12 (1 + max|g|).  Otherwise its sweeps stalled, and the grid seeds
-    the branch, on the default box and then on one twice as wide; the LP
-    seeds it only when the grid misses both.
-    """
-    eta = _dykstra(G, g, Q)
-    if not _is_feasible(eta, G, g, 1e-12 * (1.0 + np.max(np.abs(g), initial=1.0))):
-        slack = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
-        eta = _grid_incumbent(G, g, Q, n_e, halfwidth, _GRID_POINTS[n_e], slack)
-        if eta is None:
-            eta = _grid_incumbent(G, g, Q, n_e, 2.0 * halfwidth, _GRID_POINTS[n_e], slack)
-        if eta is None:
-            eta = _lp_feasible_seed(G, g)
-        if eta is None:
-            return None
-    return _refine(eta, G, g, Q)
+def _solve_convex(G, g, Q):
+    """One convex branch: the Fourier-Motzkin seed refined by exact line
+    searches; None if the branch is infeasible."""
+    eta = _fm_seed(G, g)
+    return None if eta is None else _refine(eta, G, g, Q)
 
 
 def oracle_project(cone: PolyhedralCone, E: ProjectionSubspace, v) -> np.ndarray:
-    """Reference partial projection: a feasible seed, then exact line searches.
+    """Reference partial projection: an exact feasible seed, then exact line
+    searches.
 
-    Each convex branch is seeded by Dykstra's alternating projections, or,
-    where they stall, by a dense grid on the box |eta_i| <= 10 (1 + |v|)
-    (doubled once if it misses) or a max-margin LP; see ``_solve_convex``.
-    For a union-tagged sector tangent the branches are solved separately
-    and the smaller correction wins.  Raises NoFeasiblePoint when no
-    branch yields a seed, which means the problem is infeasible.
+    Each convex branch is seeded by Fourier-Motzkin elimination, which finds
+    a point of the branch or proves it empty, and refined by ``_refine``;
+    see ``_solve_convex``.  For a union-tagged sector tangent the branches
+    are solved separately and the smaller correction wins.  Raises
+    NoFeasiblePoint when every branch is empty, which means the problem is
+    infeasible.
     """
     Eb = E.basis
     v = _as_vector(v, Eb.shape[0])
-    n_e = Eb.shape[1]
-    if n_e > 3:
+    if Eb.shape[1] > 3:
         raise ValueError("the oracle supports n_E <= 3")
-    halfwidth = 10.0 * (1.0 + float(np.linalg.norm(v)))
     Q = Eb.T @ Eb
 
     branches = [cone] if cone.convex else list(cone.parts)
@@ -287,17 +201,14 @@ def oracle_project(cone: PolyhedralCone, E: ProjectionSubspace, v) -> np.ndarray
     for branch in branches:
         G = branch.rows @ Eb
         g = -(branch.rows @ v)
-        eta = _solve_convex(G, g, Q, n_e, halfwidth)
+        eta = _solve_convex(G, g, Q)
         if eta is None:
             continue
         obj = float(eta @ Q @ eta)
         if obj < best_obj:
             best, best_obj = eta, obj
     if best is None:
-        raise NoFeasiblePoint(
-            "no feasible correction found by Dykstra's projections, the grid "
-            "(after doubling the box) or the LP seed"
-        )
+        raise NoFeasiblePoint("Fourier-Motzkin elimination proves every branch empty")
     return v + Eb @ best
 
 

@@ -104,7 +104,8 @@ class ProjectionResult:
     w = v + E eta, with ``eta`` in the coordinates of the caller's basis E,
     ``correction_norm`` = |w - v|, ``active_indices`` the cone rows tight
     at w (for ``sector_project``: 0 for u = k1 e, 1 for u = k2 e, each when
-    it bounds the tangent cone at s and is tight at w), ``branch`` one of
+    it bounds the tangent cone at s and w lies on it exactly, w_u = k_i
+    w_e, as the clamp leaves it when the line binds), ``branch`` one of
     'none' / 'K' / 'minusK' (sector paths only) and ``n_distinct_optima``
     the number of distinct optima found among passing supports (must be 1;
     exposed for the uniqueness suite).
@@ -286,12 +287,14 @@ def sector_project(sec: Sector, s, w) -> ProjectionResult:
     edot, udot = w.tolist()
     ustar = vstar_selector(sec, pos, edot, udot)
     corner = pos.label == "corner"
-    out = sec.classify(edot, ustar)
-    lines = (pos.lower or corner) and out.lower, (pos.upper or corner) and out.upper
+    # Line i is active when it bounds the tangent cone at s and the clamp
+    # returned k_i edot itself, which it does exactly when the line binds.
+    lines = (pos.lower or corner, sec.k1), (pos.upper or corner, sec.k2)
+    active = tuple(i for i, (bounds, k) in enumerate(lines) if bounds and ustar == k * edot)
     return ProjectionResult(
         w=(edot, ustar),
         eta=(ustar - udot,),
-        active_indices=tuple(i for i in (0, 1) if lines[i]),
+        active_indices=active,
         correction_norm=abs(ustar - udot),
         branch="K" if (edot >= 0.0 if corner else pos.in_k) else "minusK",
     )

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from epds import (
     ConstraintSet,
@@ -23,10 +22,12 @@ from epds import (
     sector_tangent_cone,
 )
 from epds import oracle
-from epds.oracle import _GRID_POINTS, _dykstra, _grid_incumbent
+from epds.errors import EpdsError
+from epds.oracle import _fm_seed
 from epds.projection import feasible
 from epds.verify import random_projection_instance, well_posed_instance
 from conftest import unit_disk
+from test_projection import kkt_instances
 
 
 def vertical():
@@ -73,37 +74,16 @@ def test_oracle_reports_genuine_infeasibility():
         oracle_project(halfplane, vertical(), [-1.0, 0.0])
 
 
-class _RungForbidden(Exception):
-    pass
-
-
-def _stall_dykstra(monkeypatch):
-    monkeypatch.setattr(oracle, "_dykstra", lambda G, g, Q: np.full(G.shape[1], np.nan))
-
-
-def _forbid(monkeypatch, name):
-    def forbidden(*args):
-        raise _RungForbidden(name)
-
-    monkeypatch.setattr(oracle, name, forbidden)
-
-
-def test_oracle_box_doubling_reaches_far_optima(monkeypatch):
-    # The correction must travel 30 units; the default box has half-width
-    # 10 (1 + |v|) = 20, so only the doubled box holds a feasible grid point.
-    _stall_dykstra(monkeypatch)
-    _forbid(monkeypatch, "_lp_feasible_seed")
+def test_oracle_reaches_far_optima():
+    # The correction must travel 30 units, twenty times |v|.
     cone = PolyhedralCone(dim=2, rows=np.array([[1.0, 1.0 / 30.0]]))
-    v = np.array([-1.0, 0.0])
-    G, g = cone.rows @ vertical().basis, -(cone.rows @ v)
-    assert _grid_incumbent(G, g, np.eye(1), 1, 20.0, _GRID_POINTS[1], 0.0) is None
-    w = oracle_project(cone, vertical(), v)
+    w = oracle_project(cone, vertical(), [-1.0, 0.0])
     assert np.linalg.norm(w - [-1.0, 30.0]) <= 1e-6
 
 
 # Verification draws (n_E = 2) on which -eta projected onto a facet came out
-# tilted off it by roundoff, so that the walk stopped 0.055 (grid seed) and
-# 0.058 (LP seed) short of the optimum: (rows, basis, v).
+# tilted off it by roundoff, so that the walk from a seed stopped 0.055 and
+# 0.058 short of the optimum: (rows, basis, v).
 TILTED_FACET = [
     (
         [[-0.998702618763859, -0.05092228661607679]],
@@ -128,20 +108,7 @@ TILTED_FACET = [
 ]
 
 
-@pytest.mark.parametrize("rung", ["grid", "lp"])
-def test_oracle_fallback_seed_matches_solver(monkeypatch, rung):
-    """Each fallback rung, seeding alone, gives the solver's projection.
-
-    Dykstra is made to stall on every branch.  The grid rung runs with the
-    LP forbidden; a draw whose feasible set lies outside both grid boxes
-    belongs to the LP rung and is skipped.  The LP rung runs with the grid
-    made to miss.
-    """
-    _stall_dykstra(monkeypatch)
-    if rung == "grid":
-        _forbid(monkeypatch, "_lp_feasible_seed")
-    else:
-        monkeypatch.setattr(oracle, "_grid_incumbent", lambda *args: None)
+def test_oracle_matches_solver_on_tilted_facets_and_draws():
     fixed = [
         (PolyhedralCone(len(v), np.array(A)), ProjectionSubspace(len(v), np.array(E)), np.array(v))
         for A, E, v in TILTED_FACET
@@ -152,10 +119,7 @@ def test_oracle_fallback_seed_matches_solver(monkeypatch, rung):
     for cone, E, v in fixed + draws:
         if not (feasible(cone, E, v) and well_posed_instance(cone, E, v)):
             continue
-        try:
-            w = oracle_project(cone, E, v)
-        except _RungForbidden:
-            continue
+        w = oracle_project(cone, E, v)
         assert np.linalg.norm(w - project_partial(cone, E, v).w) <= 1e-6
         checked[E.n_e] += 1
     assert min(checked.values()) >= 10, checked
@@ -182,9 +146,9 @@ WALK_TO_VERTEX = {
         [0.9659827265652882, 1.0520182296746547, 1.1523306133333409, 0.5869839963179623],
         [0, 1],
     ),
-    # Far outside the grid box (|eta| ~ 220, seeded by the LP): the search
-    # goes from a facet to an edge to the vertex, so the edge direction must
-    # be taken at the point that reached the edge.
+    # Far from v (|eta| ~ 220): the search goes from a facet to an edge to
+    # the vertex, so the edge direction must be taken at the point that
+    # reached the edge.
     "far-vertex": (
         [
             [-0.12311040171394058, -0.22514167881867544, -0.8982855593457718,
@@ -226,10 +190,8 @@ WALK_TO_VERTEX = {
         [-0.22660217225259943, -0.842188543418526, -0.5298709516556573],
         [0, 1, 2],
     ),
-    # Dykstra stalls here, and the optimum (|eta| ~ 77) lies outside the
-    # default grid box of half-width 68.5: the doubled box seeds the walk.
-    # One of the branches in verify-projection at seeds 0..59 that the
-    # doubled box seeds (seed 51).
+    # A vertex at |eta| ~ 77, 11 times |v|, from a branch of
+    # verify-projection at seed 51.
     "doubled-box-vertex": (
         [
             [-0.2969088837417139, 0.9290178282824356, 0.22084154837492972],
@@ -244,16 +206,19 @@ WALK_TO_VERTEX = {
         [-3.8722211220122826, 1.4704009672474754, -4.128657819149254],
         [0, 2],
     ),
+    # A wedge of half-angle 0.05 rad whose apex, eta = (5, 0), is the
+    # optimum; alternating projections need about 3,000 sweeps to reach it.
+    "slow-wedge-apex": (
+        [[math.tan(0.05), -1.0], [math.tan(0.05), 1.0]],
+        [[1.0, 0.0], [0.0, 1.0]],
+        [-5.0, 0.0],
+        [0, 1],
+    ),
 }
-# Entries whose feasible set lies outside both grid boxes; every other
-# entry is walked from a grid seed with the LP forbidden.
-LP_SEEDED = {"far-vertex"}
 
 
 @pytest.mark.parametrize("name", sorted(WALK_TO_VERTEX))
-def test_oracle_walks_to_vertex(monkeypatch, name):
-    if name not in LP_SEEDED:
-        _forbid(monkeypatch, "_lp_feasible_seed")
+def test_oracle_walks_to_vertex(name):
     rows, basis, v, tight = (np.array(a) for a in WALK_TO_VERTEX[name])
     G, g = rows @ basis, -(rows @ v)
     vertex = np.linalg.solve(G[tight], g[tight])
@@ -265,119 +230,57 @@ def test_oracle_walks_to_vertex(monkeypatch, name):
     assert np.linalg.norm(w - (v + basis @ vertex)) <= 1e-6
 
 
-def _grid_incumbent_reference(G, g, Q, n_e, halfwidth, pts, slack):
-    """The materialized grid: every point, one dense mask and one einsum."""
-    axes = [np.linspace(-halfwidth, halfwidth, pts)] * n_e
-    mesh = np.meshgrid(*axes, indexing="ij")
-    etas = np.column_stack([m.ravel() for m in mesh])
-    if G.shape[0] == 0:
-        mask = np.ones(etas.shape[0], dtype=bool)
-    else:
-        mask = np.all(etas @ G.T >= g[None, :] - slack, axis=1)
-    if not np.any(mask):
-        return None
-    cand = etas[mask]
-    obj = np.einsum("ij,jk,ik->i", cand, Q, cand)
-    return cand[int(np.argmin(obj))]
-
-
-@given(
-    st.sampled_from([1, 2, 3]),
-    st.integers(0, 4),
-    st.integers(1, 3),
-    st.sampled_from([1.0, 30.0]),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_grid_incumbent_matches_meshgrid_reference(n_e, m, rank, g_scale, seed):
-    # Offsets up to 30 against a box of half-width <= 20 make many draws
-    # infeasible; a rank below n_E makes Q singular, with ties in the score.
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((m, n_e))
-    g = g_scale * rng.standard_normal(m)
-    A = rng.standard_normal((min(rank, n_e), n_e))
-    Q = A.T @ A
-    hw = float(rng.uniform(1.0, 20.0))
-    slack = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
-    pts = _GRID_POINTS[n_e]
-    ref = _grid_incumbent_reference(G, g, Q, n_e, hw, pts, slack)
-    eta = _grid_incumbent(G, g, Q, n_e, hw, pts, slack)
-    assert (ref is None) == (eta is None)
-    if eta is None:
-        return
-    ref_obj, obj = float(ref @ Q @ ref), float(eta @ Q @ eta)
-    assert abs(obj - ref_obj) <= 1e-12 * (1.0 + ref_obj)
-    assert np.all(G @ eta >= g - slack)
-
-
-def _dykstra_reference(G, g, Q, max_sweeps=6000):
-    """Numpy Dykstra sweeps; returns the result and the sweeps it took."""
-    k, n_e = G.shape
-    Qinv = np.linalg.inv(Q)
-    aQ = (Qinv @ G.T).T
-    denom = np.maximum(np.einsum("ij,ij->i", G, aQ), 1e-30)
-    x = np.zeros(n_e)
-    p = np.zeros((k, n_e))
-    for sweeps in range(1, max_sweeps + 1):
-        x_prev = x.copy()
-        for j in range(k):
-            y = x + p[j]
-            viol = g[j] - float(G[j] @ y)
-            if viol > 0.0:
-                x = y + (viol / denom[j]) * aQ[j]
-            else:
-                x = y
-            p[j] = y - x
-        if np.linalg.norm(x - x_prev) <= 1e-15 * (1.0 + np.linalg.norm(x)):
-            break
-    for _ in range(100):
-        viol = g - G @ x
-        j = int(np.argmax(viol))
-        if viol[j] <= 0.0:
-            break
-        x = x + (viol[j] / denom[j]) * aQ[j]
-    return x, sweeps
-
-
-def test_dykstra_float_sweep_matches_reference():
-    """The float sweeps agree with numpy ones to roundoff.
-
-    Instances are the oracle's own inputs (G = rows E, g = -rows v,
-    Q = E^T E) from the verification generator.  Both loops stop on the
-    same 1e-15 step rule; on a slowly converging instance roundoff can make
-    them stop a sweep apart, which moves the result by less than this
-    tolerance on all of these.
-    """
-    rng = np.random.default_rng(2024)
-    checked = {1: 0, 2: 0, 3: 0}
-    while sum(checked.values()) < 150:
+def test_fm_seed_exists_exactly_when_feasible():
+    # Fourier-Motzkin decides emptiness exactly, so its verdict is the
+    # phase-1 test's, and its point meets every unit row.
+    rng = np.random.default_rng(3)
+    seeded = {True: 0, False: 0}
+    for _ in range(1500):
         cone, E, v = random_projection_instance(rng)
-        G, g, Q = cone.rows @ E.basis, -(cone.rows @ v), E.basis.T @ E.basis
-        ref, _ = _dykstra_reference(G, g, Q)
-        x = _dykstra(G, g, Q)
-        assert np.linalg.norm(x - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
-        checked[E.n_e] += 1
-    assert min(checked.values()) >= 30
-    # Wedge of half-angle 0.05 rad with its apex at (5, 0), where the
-    # projection of the origin lands: the reference needs 2963 sweeps.
-    t = math.tan(0.05)
-    G, g = np.array([[t, -1.0], [t, 1.0]]), np.array([5.0 * t, 5.0 * t])
-    ref, sweeps = _dykstra_reference(G, g, np.eye(2))
-    assert sweeps >= 1000
-    x = _dykstra(G, g, np.eye(2))
-    assert np.linalg.norm(x - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
-    assert np.linalg.norm(x - [5.0, 0.0]) <= 1e-9
+        G, g = cone.rows @ E.basis, -(cone.rows @ v)
+        eta = _fm_seed(G, g)
+        assert (eta is not None) == feasible(cone, E, v)
+        seeded[eta is not None] += 1
+        if eta is not None:
+            norms = np.linalg.norm(np.column_stack([G, g]), axis=1)
+            assert np.all((G @ eta - g) / norms >= -1e-9)
+    assert min(seeded.values()) >= 150, seeded
+
+
+def test_fm_seed_on_empty_and_free_systems():
+    assert np.array_equal(_fm_seed(np.zeros((0, 2)), np.zeros(0)), np.zeros(2))
+    # A row orthogonal to Im E is zero here: it holds iff its g is <= 0.
+    assert _fm_seed(np.zeros((1, 1)), np.array([1.0])) is None
+    assert np.array_equal(_fm_seed(np.zeros((1, 1)), np.array([-1.0])), np.zeros(1))
+    # Opposite rows: the slab 1 <= eta_0 <= 2, and the line eta_0 = 1.
+    G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert np.allclose(_fm_seed(G, np.array([1.0, -2.0])), [1.0, 0.0])
+    assert np.allclose(_fm_seed(G, np.array([1.0, -1.0])), [1.0, 0.0])
+    assert _fm_seed(G, np.array([2.0, -1.0])) is None
+
+
+@given(kkt_instances())
+@settings(max_examples=300, deadline=None)
+def test_oracle_matches_solver_on_degenerate_cones(instance):
+    # Duplicate, scaled, dependent and orthogonal rows: the exact seed must
+    # exist wherever the solver finds the projection, and refine to it.
+    cone, E, v = instance
+    try:
+        res = project_partial(cone, E, v)
+    except EpdsError:
+        return
+    assert np.linalg.norm(oracle_project(cone, E, v) - res.w) <= 1e-6
 
 
 def test_verify_passes_do_not_load_scipy():
-    # At seed 9 every oracle branch is seeded by Dykstra or the grid, so the
-    # pass never imports scipy.optimize for the LP seed, and the solver path
-    # and the Krasovskii pass import no scipy at all.  Importing scipy would
-    # add to a pass's time and memory.
+    # scipy is a test dependency only; importing it would add to a pass's
+    # time and memory.  Seeds 17 and 46 are passes whose oracle once fell
+    # back to an LP seed.
     code = (
         "import sys\n"
         "from epds.verify import verify_krasovskii, verify_projection\n"
-        "assert verify_projection(150, seed=9)['mismatches'] == 0\n"
+        "for s in (9, 17, 46):\n"
+        "    assert verify_projection(150, seed=s)['mismatches'] == 0\n"
         "assert verify_krasovskii(22, seed=3)['finite_failures'] == 0\n"
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
     )
@@ -387,16 +290,15 @@ def test_verify_passes_do_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_only_the_oracle_imports_scipy():
-    # The oracle's LP seed is the package's last scipy call; moving scipy to
-    # the test extra needs that to stay so.
+def test_no_module_imports_scipy():
+    # scipy is in the test extra only, so the package must run without it.
     pkg = Path(oracle.__file__).parent
     importers = [
         str(p.relative_to(pkg))
         for p in sorted(pkg.rglob("*.py"))
         if re.search(r"^\s*(import|from)\s+scipy\b", p.read_text(encoding="utf-8"), re.M)
     ]
-    assert importers == ["oracle.py"]
+    assert importers == []
 
 
 def test_tangent_membership_examples():

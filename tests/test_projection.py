@@ -164,6 +164,10 @@ def test_sector_project_examples():
     # corner, negative edot
     res = sector_project(sec, (0.0, 0.0), (-2.0, 1.0))
     assert np.allclose(res.w, [-2.0, 0.0]) and res.branch == "minusK"
+    # At small scale a line is active only where w lies on it: v* = 1e-11 is
+    # on the upper line alone, and an uncorrected w on no line at all.
+    assert sector_project(sec, (0.0, 0.0), (1e-11, 2e-11)).active_indices == (1,)
+    assert sector_project(sec, (1.0, 1.0), (1e-11, -3e-11)).active_indices == ()
     with pytest.raises(NotInSet):
         sector_project(sec, (0.0, 1.0), (0.0, 0.0))
 

@@ -302,9 +302,8 @@ def test_no_stray_temp_files_after_run(tmp_path):
 
 
 def test_run_path_does_not_import_scipy(tmp_path):
-    # Importing scipy is most of a CLI start's time and much of its memory.
-    # Only the oracle's LP seed and krasovskii's extreme points use it, and
-    # they import scipy.optimize lazily.
+    # Importing scipy is most of a CLI start's time and much of its memory,
+    # and scipy is a test dependency only.
     scenario = os.path.join(os.path.dirname(__file__), "..", "scenarios", "higs_benchmark.json")
     code = (
         "import sys\n"
