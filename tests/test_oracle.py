@@ -82,8 +82,8 @@ def test_oracle_reaches_far_optima():
 
 
 # Verification draws (n_E = 2) on which -eta projected onto a facet came out
-# tilted off it by roundoff, so that the walk from a seed stopped 0.055 and
-# 0.058 short of the optimum: (rows, basis, v).
+# tilted off it by roundoff, so that the walk stopped 0.055 (grid seed) and
+# 0.058 (LP seed) short of the optimum: (rows, basis, v).
 TILTED_FACET = [
     (
         [[-0.998702618763859, -0.05092228661607679]],
@@ -107,8 +107,56 @@ TILTED_FACET = [
     ),
 ]
 
+# Grid points per axis for n_E = 1 / 2 / 3.
+_GRID_POINTS = {1: 2001, 2: 201, 3: 51}
 
-def test_oracle_matches_solver_on_tilted_facets_and_draws():
+
+class _GridMissed(Exception):
+    pass
+
+
+def _grid_seed(G, g, Q, halfwidth):
+    """Best feasible point of a grid on [-h, h]**n_E, for h = halfwidth and
+    then 2 halfwidth; _GridMissed when both miss a nonempty set."""
+    n_e = G.shape[1]
+    slack = 1e-9 * (1.0 + float(np.max(np.abs(g), initial=0.0)))
+    for h in (halfwidth, 2.0 * halfwidth):
+        lin = np.linspace(-h, h, _GRID_POINTS[n_e])
+        cand = np.stack(np.meshgrid(*([lin] * n_e), indexing="ij"), axis=-1).reshape(-1, n_e)
+        cand = cand[np.all(cand @ G.T >= g - slack, axis=1)]
+        if len(cand):
+            return cand[int(np.argmin(np.einsum("ij,ij->i", cand @ Q, cand)))]
+    if _fm_seed(G, g) is None:
+        return None
+    raise _GridMissed
+
+
+def _lp_seed(G, g):
+    """Deep feasible point by maximizing the row-scaled margin (capped at 1),
+    or None when the set is empty."""
+    import scipy.optimize
+
+    n_e = G.shape[1]
+    res = scipy.optimize.linprog(
+        np.concatenate([np.zeros(n_e), [-1.0]]),
+        A_ub=np.column_stack([-G, np.linalg.norm(G, axis=1)]),
+        b_ub=-g,
+        bounds=[(None, None)] * n_e + [(None, 1.0)],
+        method="highs",
+    )
+    if not res.success or res.x[-1] < -1e-9:
+        return None
+    return res.x[:-1]
+
+
+@pytest.mark.parametrize("rung", ["fm", "grid", "lp"])
+def test_oracle_fallback_seed_matches_solver(monkeypatch, rung):
+    """The refinement reaches the solver's projection from the oracle's own
+    Fourier-Motzkin seed (fm) and from the seeds it used to fall back on:
+    the best point of a coarse grid (grid) and a max-margin LP point (lp).
+    A draw whose feasible set lies outside both grid boxes is skipped in
+    the grid case.
+    """
     fixed = [
         (PolyhedralCone(len(v), np.array(A)), ProjectionSubspace(len(v), np.array(E)), np.array(v))
         for A, E, v in TILTED_FACET
@@ -119,7 +167,15 @@ def test_oracle_matches_solver_on_tilted_facets_and_draws():
     for cone, E, v in fixed + draws:
         if not (feasible(cone, E, v) and well_posed_instance(cone, E, v)):
             continue
-        w = oracle_project(cone, E, v)
+        if rung == "grid":
+            Q, halfwidth = E.basis.T @ E.basis, 10.0 * (1.0 + np.linalg.norm(v))
+            monkeypatch.setattr(oracle, "_fm_seed", lambda G, g: _grid_seed(G, g, Q, halfwidth))
+        elif rung == "lp":
+            monkeypatch.setattr(oracle, "_fm_seed", _lp_seed)
+        try:
+            w = oracle_project(cone, E, v)
+        except _GridMissed:
+            continue
         assert np.linalg.norm(w - project_partial(cone, E, v).w) <= 1e-6
         checked[E.n_e] += 1
     assert min(checked.values()) >= 10, checked
