@@ -43,26 +43,42 @@ def _fm_seed(G, g):
     bounds leave, or its midpoint when lo > hi by roundoff.  One elimination
     leaves at most max(m^2/4, m) of m rows, which n_E <= 3 keeps small.
     """
-    norms = np.linalg.norm(np.column_stack([G, g]), axis=1)
-    keep = norms > 0.0
-    G, g = G[keep] / norms[keep, None], g[keep] / norms[keep]
-    if G.shape[1] == 0:
-        return np.zeros(0) if np.all(g <= 0.0) else None
-    c, R = G[:, -1], G[:, :-1]
-    lower, upper = c > 1e-12, c < -1e-12
-    rest = ~(lower | upper)
-    cl, cu = c[lower, None], -c[upper, None]
-    pair_rows = (R[lower] / cl)[:, None] + (R[upper] / cu)[None]
-    pair_g = (g[lower, None] / cl) + (g[upper, None] / cu).T
-    pair_rows, pair_g = pair_rows.reshape(pair_g.size, R.shape[1]), pair_g.ravel()
-    parts = (1.0 / cl + 1.0 / cu.T).ravel()
-    big = np.linalg.norm(np.column_stack([pair_rows, pair_g]), axis=1) > 1e-9 * parts
-    eta = _fm_seed(np.vstack([R[rest], pair_rows[big]]), np.concatenate([g[rest], pair_g[big]]))
+    eta = _fm_eliminate(list(zip(G.tolist(), g.tolist())), G.shape[1])
+    return None if eta is None else np.array(eta)
+
+
+def _fm_eliminate(rows, n):
+    """``_fm_seed`` on plain floats: rows is a list of (row, rhs) pairs in n
+    coordinates, and the point is returned as a list."""
+    unit = [([a / r for a in row], b / r) for row, b in rows if (r := math.hypot(*row, b)) > 0.0]
+    if n == 0:
+        return [] if all(b <= 0.0 for _, b in unit) else None
+    lower, upper, rest = [], [], []
+    for row, b in unit:
+        c = row[-1]
+        if c > 1e-12:
+            lower.append((row[:-1], b, c))
+        elif c < -1e-12:
+            upper.append((row[:-1], b, c))
+        else:
+            rest.append((row[:-1], b))
+    for rp, bp, cp in lower:
+        for rn, bn, cn in upper:
+            row = [x / cp - y / cn for x, y in zip(rp, rn)]
+            b = bp / cp - bn / cn
+            if math.hypot(*row, b) > 1e-9 * (1.0 / cp - 1.0 / cn):
+                rest.append((row, b))
+    eta = _fm_eliminate(rest, n - 1)
     if eta is None:
         return None
-    lo = np.max((g[lower] - R[lower] @ eta) / c[lower], initial=-math.inf)
-    hi = np.min((g[upper] - R[upper] @ eta) / c[upper], initial=math.inf)
-    return np.append(eta, 0.5 * (lo + hi) if lo > hi else min(max(0.0, lo), hi))
+    lo = max((_residual(row, b, eta) / c for row, b, c in lower), default=-math.inf)
+    hi = min((_residual(row, b, eta) / c for row, b, c in upper), default=math.inf)
+    return eta + [0.5 * (lo + hi) if lo > hi else min(max(0.0, lo), hi)]
+
+
+def _residual(row, b, eta):
+    """b - row . eta on plain floats."""
+    return b - sum(a * x for a, x in zip(row, eta))
 
 
 def _edge_directions(rows: np.ndarray) -> list[np.ndarray]:

@@ -10,12 +10,15 @@ basis U of Im E that ``ProjectionSubspace`` keeps, where the metric is the
 identity whatever the conditioning of E.  Candidate active supports of the
 cone rows are enumerated exhaustively (instances are tiny, so exactness and
 determinism beat asymptotics): each support S is solved as the least-norm
-solution of its rows, eta' = G_S^+ g_S, with one stacked pseudo-inverse per
-support size.  Under row independence and feasibility the optimum is
-unique, so the first passing support is returned; all passing supports are
-still collected so callers can check uniqueness.  The supports and the
-phase-1 feasibility test read the same unit-normalized rows with one
-vanishing-row cutoff, so they agree on which cones meet v + Im E.
+solution of its rows, by one stacked LU inverse per support size
+(``_support_inverse``) of G_S itself when S has n_E rows and of the Gram
+matrix G_S G_S^T when it has fewer.  A support with dependent rows is
+skipped: its optimum, if any, is also reached on independent rows.  Under
+row independence and feasibility the optimum is unique, so the first
+passing support is returned; all passing supports are still collected so
+callers can check uniqueness.  The supports and the phase-1 feasibility
+test read the same unit-normalized rows with one vanishing-row cutoff, so
+they agree on which cones meet v + Im E.
 
 The sector path has a closed form on every stratum: only the vertical
 coordinate is corrected, so ``sector_project`` clamps the candidate into the
@@ -144,28 +147,55 @@ def _supports(m: int, size: int) -> np.ndarray:
     return S
 
 
+def _support_inverse(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the stacked square matrices A by LU, and the mask ``ok``
+    of those with a nonzero determinant.  The determinant is taken of the
+    very matrices that are inverted, so no singular one reaches the
+    inversion; the others get zeros."""
+    ok = np.linalg.det(A) != 0.0
+    inv = np.zeros_like(A)
+    inv[ok] = np.linalg.inv(A[ok])
+    return inv, ok
+
+
 def _phase1(Gn: np.ndarray, gn: np.ndarray) -> float:
     """Exact least slack t >= 0 with Gn eta + t >= gn, for any n_E.
 
-    By LP duality t* = max(0, max gn.lam) over the vertices of
+    It is 0 at once when eta = 0 or the foot (gn_i / |Gn_i|^2) Gn_i of a
+    violated row with |Gn_i| > EPS_VANISH meets every row, tested exactly.
+    Otherwise, by LP duality, t* = max(0, max gn.lam) over the vertices of
     Lambda = {lam >= 0, sum lam = 1, Gn^T lam = 0}.  A vertex has at most
-    n_E + 1 nonzeros and solves [Gn_S^T; 1^T] lam_S = e_last on its support
-    S, so every support of that size or less is solved by pseudo-inverse.  A
-    solution with residual <= 1e-12 and lam_S >= -1e-12 lies in Lambda,
-    hence gn.lam is a lower bound on t* (weak duality); the vertices are
-    among the kept solutions, so the maximum is t* itself.  For n_E = 1 the
-    vertices are the rows with Gn_i = 0 and the pairs of rows of opposite
-    sign.
+    n_E + 1 nonzeros, independent columns of M = [Gn_S^T; 1^T] on its
+    support S, and solves M lam_S = e_last.  So every support of that size
+    or less is solved: lam_S = M^-1 e_last when M is square, else
+    R^-1 Q^T e_last from M = QR, which unlike the normal equations keeps
+    the rows of Gn_S that are small beside the row of ones; a support whose
+    inverted matrix is singular holds no vertex.  A solution with residual
+    <= 1e-12 and lam_S >= -1e-12 lies in Lambda, hence gn.lam is a lower
+    bound on t* (weak duality); the vertices are among the kept solutions,
+    so the maximum is t* itself.  For n_E = 1 the vertices are the rows
+    with Gn_i = 0 and the pairs of rows of opposite sign.
     """
     m, n_e = Gn.shape
+    norms = np.linalg.norm(Gn, axis=1)
+    at = (gn > 0.0) & (norms > EPS_VANISH)
+    feet = (gn[at] / norms[at] ** 2)[:, None] * Gn[at]
+    if np.all(gn <= 0.0) or np.any(np.all(feet @ Gn.T >= gn, axis=1)):
+        return 0.0
     e_last = np.eye(n_e + 1)[-1]
     t = 0.0
     for size in range(1, min(m, n_e + 1) + 1):
         S = _supports(m, size)
         M = np.concatenate([np.swapaxes(Gn[S], 1, 2), np.ones((len(S), 1, size))], axis=1)
-        lam = np.linalg.pinv(M)[:, :, -1]
+        if size == n_e + 1:
+            inv, ok = _support_inverse(M)
+            lam = inv[:, :, -1]
+        else:
+            Q, R = np.linalg.qr(M)
+            inv, ok = _support_inverse(R)
+            lam = np.einsum("cij,cj->ci", inv, Q[:, -1, :])
         resid = np.linalg.norm(np.einsum("cij,cj->ci", M, lam) - e_last, axis=1)
-        kept = (resid <= 1e-12) & (lam.min(axis=1) >= -1e-12)
+        kept = ok & (resid <= 1e-12) & (lam.min(axis=1) >= -1e-12)
         t = max(t, float(np.max(np.where(kept, np.sum(gn[S] * lam, axis=1), 0.0))))
     return t
 
@@ -189,18 +219,20 @@ def _kkt_optima(Gn: np.ndarray, gn: np.ndarray) -> np.ndarray:
     """Minimizers eta' of |eta'| over Gn eta' >= gn, one row per passing
     support, the supports in size-then-lexicographic order.
 
-    On a support S the candidate is the least-norm solution eta' = Gn_S^+ gn_S
-    of its rows taken as equalities, with the multipliers of 2 eta' =
-    Gn_S^T lam given by lam = 2 (Gn_S^+)^T eta'; all supports of one size
-    share one stacked pseudo-inverse.  S passes when its rows hold with
-    equality, every row holds up to its own terms (so that no violation is
-    too small to be corrected) and the multipliers are nonnegative up to
-    EPS_DUAL times the largest of them (with no absolute floor, so that a
-    small instance cannot pass a wrong-signed support).  The rows
-    are the unit rows of ``_phase1_rows``, so a row that vanishes on Im E is
-    zero here and is never inverted.  Supports stop at n_E rows: by
-    Caratheodory's theorem for cones the optimum is reached on at most n_E
-    independent active rows, so a larger support only repeats it.
+    On a support S the candidate is the least-norm solution eta' = P gn_S
+    of its rows taken as equalities, with P = Gn_S^-1 when S has n_E rows
+    and P = Gn_S^T (Gn_S Gn_S^T)^-1 when it has fewer, and the multipliers
+    of 2 eta' = Gn_S^T lam given by lam = 2 P^T eta'; all supports of one
+    size share one stacked ``_support_inverse``.  S passes when that
+    matrix is nonsingular, its rows hold with equality, every row holds up
+    to its own terms (so that no violation is too small to be corrected)
+    and the multipliers are nonnegative up to EPS_DUAL times the largest of
+    them (with no absolute floor, so that a small instance cannot pass a
+    wrong-signed support).  The rows are the unit rows of ``_phase1_rows``,
+    so a row that vanishes on Im E is zero here and is never inverted.
+    Supports stop at n_E rows and need independent rows: by Caratheodory's
+    theorem for cones the optimum is reached on at most n_E independent
+    active rows, so a larger or dependent support only repeats it.
     """
     m, n_e = Gn.shape
     Gn_norms = np.linalg.norm(Gn, axis=1)
@@ -209,12 +241,16 @@ def _kkt_optima(Gn: np.ndarray, gn: np.ndarray) -> np.ndarray:
     for size in range(1, min(m, n_e) + 1):
         S = _supports(m, size)
         GS, gS = Gn[S], gn[S]
-        P = np.linalg.pinv(GS)
+        if size == n_e:
+            P, ok = _support_inverse(GS)
+        else:
+            inv, ok = _support_inverse(GS @ np.swapaxes(GS, 1, 2))
+            P = np.swapaxes(GS, 1, 2) @ inv
         eta = np.einsum("cij,cj->ci", P, gS)
         lam = 2.0 * np.einsum("cji,cj->ci", P, eta)
         resid = np.linalg.norm(np.einsum("cij,cj->ci", GS, eta) - gS, axis=1)
         floor = np.abs(gn) + np.outer(np.linalg.norm(eta, axis=1), Gn_norms)
-        ok = (
+        ok &= (
             (resid <= 1e-8 * (1.0 + np.linalg.norm(gS, axis=1)))
             & np.all(eta @ Gn.T - gn >= -1e-9 * floor, axis=1)
             & (lam.min(axis=1) >= -EPS_DUAL * np.abs(lam).max(axis=1))

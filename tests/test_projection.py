@@ -26,7 +26,7 @@ from epds import (
     vstar_selector,
 )
 import epds.projection
-from epds.projection import EPS_DUAL, EPS_DUP, _phase1, _phase1_rows
+from epds.projection import EPS_DUAL, EPS_DUP, EPS_PHASE1, _phase1, _phase1_rows
 from epds.verify import (
     random_projection_instance,
     random_rows,
@@ -370,6 +370,15 @@ def _phase1_lp_reference(Gn, gn):
 
 
 @given(phase1_instances())
+# Opposite rows whose parts along Im E are 1e-4 beside the row of ones in
+# the dual system: solved through the normal equations, t* is off by 1.7e-9.
+@example(
+    instance=(
+        PolyhedralCone(dim=4, rows=np.array([[0.0, 0.5, 0.0, 1.0], [0.0, -1.0, 0.0, -1.0]])),
+        ProjectionSubspace(4, np.eye(4)[:, 2:]),
+        np.array([0.0, 1e4, 0.0, 0.0]),
+    )
+)
 @settings(max_examples=500, deadline=None)
 def test_phase1_matches_highs_for_every_n_e(instance):
     # The exact phase-1 optimum against HiGHS on the same unit-normalized
@@ -427,6 +436,84 @@ def test_phase1_examples():
         assert not feasible(cone, E, v)
     # A row nearly orthogonal to E is still a row: eta = 5e9 satisfies it.
     assert feasible(*_rows_as_instance([[1e-10]], [0.5]))
+
+
+def test_phase1_early_exit_and_enumeration_match_highs(monkeypatch):
+    # _phase1 returns 0 without enumerating supports when eta = 0 or the
+    # foot of a violated row meets every row.  On fixed-seed draws both
+    # paths run, infeasible draws among the enumerated ones, and every
+    # value is HiGHS's, so an exit that skipped the row test would show.
+    supports = epds.projection._supports
+    calls = []
+
+    def recording(m, size):
+        calls.append(size)
+        return supports(m, size)
+
+    monkeypatch.setattr(epds.projection, "_supports", recording)
+    rng = np.random.default_rng(29)
+    paths = Counter()
+    for _ in range(300):
+        Gn, gn = _phase1_rows(*random_projection_instance(rng))
+        before = len(calls)
+        t = _phase1(Gn, gn)
+        t_lp = _phase1_lp_reference(Gn, gn)
+        assert abs(t - t_lp) <= 1e-9
+        if len(calls) == before:
+            paths["zero" if np.all(gn <= 0.0) else "foot"] += 1
+        else:
+            paths["infeasible" if t_lp > 1e-9 else "enumerated"] += 1
+    assert min(paths[key] for key in ("zero", "foot", "enumerated", "infeasible")) > 0, paths
+
+
+def _with_copies(Gn, gn, rng, kind):
+    """Gn, gn plus copies of their rows, shuffled in: exact duplicates,
+    positive multiples renormalized to unit length (equal up to roundoff)
+    or unit positive combinations of two rows (implied by them)."""
+    rows = np.column_stack([Gn, gn])
+    extra = []
+    for _ in range(2):
+        i, j = rng.integers(len(rows), size=2)
+        if kind == "duplicate":
+            extra.append(rows[i])
+        elif kind == "scaled":
+            r = rows[i] * float(rng.uniform(0.1, 10.0))
+            extra.append(r / np.linalg.norm(r))
+        else:
+            r = float(rng.uniform(0.1, 2.0)) * rows[i] + float(rng.uniform(0.1, 2.0)) * rows[j]
+            extra.append(r / max(np.linalg.norm(r), 1e-30))
+    rows = np.vstack([rows, extra])[rng.permutation(len(rows) + len(extra))]
+    return rows[:, :-1], rows[:, -1]
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "scaled", "dependent"])
+def test_dependent_supports_change_neither_phase1_nor_optimum(kind):
+    # A support with exactly dependent rows is singular and skipped, never
+    # inverted; one that is dependent up to roundoff (a renormalized
+    # multiple) must fail the residual and sign checks.  Neither loses
+    # anything: the LP dual's vertices and the KKT optimum live on
+    # independent rows.  A combination row is implied only where the others
+    # hold, so it keeps t* only at t* = 0.
+    rng = np.random.default_rng(31)
+    # Three copies of one row at n_E = 2: singular square and Gram supports.
+    Gn = np.tile([[0.6, -0.8]], (3, 1))
+    assert _phase1(Gn, np.full(3, 0.3)) == 0.0
+    assert np.allclose(epds.projection._kkt_optima(Gn, np.full(3, 0.3)), [0.18, -0.24])
+    checked = Counter()
+    for _ in range(150):
+        Gn, gn = _phase1_rows(*random_projection_instance(rng))
+        Gc, gc = _with_copies(Gn, gn, rng, kind)
+        t, tc = _phase1(Gn, gn), _phase1(Gc, gc)
+        if kind != "dependent" or t == 0.0:
+            assert abs(tc - t) <= 1e-12
+        optima = epds.projection._kkt_optima(Gn, gn)
+        if t > EPS_PHASE1 or not len(optima):
+            continue
+        copies = epds.projection._kkt_optima(Gc, gc)
+        scale = 1e-9 * (1.0 + np.linalg.norm(optima[0]))
+        assert len(copies) and np.all(np.linalg.norm(copies - optima[0], axis=1) <= scale)
+        checked[Gn.shape[1]] += 1
+    assert sorted(checked) == [1, 2, 3], checked
 
 
 def _well_posed_lp_reference(cone, E, v, bound_factor=30.0):
@@ -595,6 +682,17 @@ def kkt_instances(draw):
         ),
         ProjectionSubspace(2, np.array([[-0.6894138], [0.72436774]])),
         np.array([-1.78722985, -3.21370725]),
+    )
+)
+# Three copies of one row at n_E = 2: every support of two or three rows
+# is singular and must be skipped, not inverted.
+@example(
+    instance=(
+        PolyhedralCone(dim=2, rows=np.tile([[0.45274238, -0.89164137]], (3, 1))),
+        ProjectionSubspace(
+            2, np.array([[0.57132068, 0.82072693], [-0.82072693, 0.57132068]])
+        ),
+        np.array([-0.51196622, -1.23334215]),
     )
 )
 @settings(max_examples=300, deadline=None)
