@@ -122,6 +122,7 @@ def cmd_verify_krasovskii(args) -> int:
         report["finite_cases"] == args.count
         and report["finite_failures"] == 0
         and report["grid_disagreements"] == 0
+        and report["missing_vertices"] == 0
         and report["sector_pattern_mismatches"] == 0
     )
     return EXIT_OK if clean else EXIT_VALIDATION

@@ -247,10 +247,14 @@ def verify_krasovskii(count: int = 1_000, seed: int = 0) -> dict:
     """Equality sweep over regular sets and the sector failure pattern.
 
     Regular finitely generated instances under (CQ) and feasibility must
-    verify the equality at both grid resolutions.  Sector sweeps expect
-    equality at every non-corner boundary point and at the corner with zero
-    e-velocity, and failure at the corner whenever the e-velocity is
-    nonzero (the hull then covers a whole admissible-velocity segment).
+    verify the equality at both grid resolutions.  Their hulls must also
+    have a vertex within the witness tolerance of f (the empty subset) and
+    one of the projection (all active rows): a hull of the projection alone
+    passes the grid check, so ``missing_vertices`` counts the cases where
+    either is absent.  Sector sweeps expect equality at every non-corner
+    boundary point and at the corner with zero e-velocity, and failure at
+    the corner whenever the e-velocity is nonzero (the hull then covers a
+    whole admissible-velocity segment).
 
     Regular instances are drawn until ``count`` are feasible or 50 * count
     draws are spent; a sweep cut short by that cap reports fewer
@@ -261,6 +265,7 @@ def verify_krasovskii(count: int = 1_000, seed: int = 0) -> dict:
     finite_cases = 0
     finite_failures = 0
     grid_disagreements = 0
+    missing_vertices = 0
     attempts = 0
     while finite_cases < count and attempts < 50 * count:
         attempts += 1
@@ -271,6 +276,10 @@ def verify_krasovskii(count: int = 1_000, seed: int = 0) -> dict:
         finite_cases += 1
         hull = krasovskii_vertices(cset, E, x, f)
         pi = project_partial(cone, E, f)
+        if any(
+            np.linalg.norm(hull.vertices - v, axis=1).min() > _WITNESS_TOL for v in (f, pi.w)
+        ):
+            missing_vertices += 1
         holds = []
         for res in _RESOLUTIONS:
             rep = verify_equality(hull, cone, pi, res, _WITNESS_TOL)
@@ -324,6 +333,7 @@ def verify_krasovskii(count: int = 1_000, seed: int = 0) -> dict:
         "finite_cases": finite_cases,
         "finite_failures": finite_failures,
         "grid_disagreements": grid_disagreements,
+        "missing_vertices": missing_vertices,
         "resolutions": list(_RESOLUTIONS),
         "sector_cases": sector_cases,
         "sector_corner_nonzero_edot": corner_nonzero,

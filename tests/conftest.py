@@ -1,7 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from epds import Plant, StateExploded, build_closed_loop, drift_correct, higs_preset
+from epds.krasovskii import _contains_many
 from epds.projection import vstar_selector
 from epds.sim import BLOWUP_BOUND, Trace, _step_schedule, eval_input
 
@@ -154,3 +158,47 @@ def reference_integrate(sys, xi0, signal, T, h):
         drift_corrected=np.array(cols[9], dtype=bool),
         h=h,
     )
+
+
+def stars_and_bars(total, k):
+    """Lattice of all k-tuples of nonnegative integers summing to total, in
+    lexicographic order, as ``krasovskii._compositions`` built it before its
+    compact lattice: the k - 1 bars sit at increasing positions among
+    total + k - 1 slots, and each part is the gap between neighbouring bars.
+    """
+    slots = total + k - 1
+    n_rows = math.comb(slots, k - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), k - 1)),
+        dtype=np.int64,
+        count=n_rows * (k - 1),
+    ).reshape(n_rows, k - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+
+
+def reference_verify_equality(hull, T, pi, simplex_resolution=0.02, witness_tol=1e-6):
+    """``krasovskii.verify_equality`` as it was before it streamed its
+    lattice in blocks, kept as the reference that the streamed check must
+    reproduce bit for bit: the whole grid in one array, one product, one
+    membership test and one distance per point.  Returns (holds,
+    n_witnesses, witnesses).
+    """
+    V = np.atleast_2d(hull.vertices)
+    n_steps = max(1, int(round(1.0 / simplex_resolution)))
+    k = V.shape[0]
+    if k == 1:
+        P = V.copy()
+    else:
+        lam = stars_and_bars(n_steps, k).astype(float) / float(n_steps)
+        P = lam @ V
+    in_cone = _contains_many(T, P)
+    dists = np.linalg.norm(P - pi.w[None, :], axis=1)
+    bad = in_cone & (dists > witness_tol)
+    witnesses = P[bad]
+    n_witnesses = int(witnesses.shape[0])
+    if n_witnesses > 32:
+        order = np.argsort(-dists[bad])
+        witnesses = witnesses[order[:32]]
+    if not n_witnesses:
+        witnesses = np.zeros((0, V.shape[1]))
+    return not bool(np.any(bad)), n_witnesses, witnesses

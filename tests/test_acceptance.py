@@ -12,6 +12,7 @@ import pytest
 
 from epds import (
     InputSignal,
+    KrasovskiiHull,
     Plant,
     Controller,
     Sector,
@@ -26,9 +27,11 @@ from epds import (
     sector_project,
     sector_subspace,
     sector_tangent_cone,
+    tangent_cone,
     verify_equality,
 )
 import epds.projection
+import epds.verify
 from epds.projection import feasible, project_partial
 from epds.sim import SinusoidSegment
 from epds.verify import _branch_vstar, verify_projection, verify_krasovskii
@@ -96,15 +99,29 @@ def test_criterion_3_krasovskii_equality_regular_sets():
         rep["finite_cases"] >= 1_000
         and rep["finite_failures"] == 0
         and rep["grid_disagreements"] == 0
+        and rep["missing_vertices"] == 0
     )
     report(
         3,
         "Krasovskii equality on regular sets",
         ok,
         f"{rep['finite_cases']} instances at resolutions 0.02/0.01, "
-        f"{rep['finite_failures']} failures",
+        f"{rep['finite_failures']} failures, "
+        f"{rep['missing_vertices']} hulls missing f or the projection",
     )
     assert ok
+
+
+def test_criterion_3_fires_on_a_hull_of_the_projection_alone(monkeypatch):
+    # A hull that is the projection alone meets the tangent cone only at the
+    # projection, so the grid check holds on it; the vertex check must not.
+    def projection_only(cset, E, x, f):
+        pi = project_partial(tangent_cone(cset, x), E, f)
+        return KrasovskiiHull(vertices=pi.w, subset_labels=((),), point=x, field_value=f)
+
+    monkeypatch.setattr(epds.verify, "krasovskii_vertices", projection_only)
+    rep = verify_krasovskii(count=50, seed=42)
+    assert rep["finite_failures"] == 0 and rep["missing_vertices"] > 0
 
 
 def test_criterion_4_counterexample_reproduction():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -25,7 +26,7 @@ from epds import (
 import epds.krasovskii
 from epds.krasovskii import DEDUP_TOL, _compositions
 from epds.projection import sector_subspace
-from conftest import corner_cones, orthant
+from conftest import corner_cones, orthant, reference_verify_equality, stars_and_bars
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "krasovskii_pool.json"
 
@@ -182,15 +183,20 @@ def test_grid_independence(rng):
         assert r1.holds == r2.holds
 
 
+def _orthant_corner_case():
+    """The 4-vertex orthant hull at the corner, its tangent cone and its
+    projection: 176,851 grid points at resolution 0.01."""
+    cset, f = orthant(), np.array([-1.0, -1.0])
+    E = ProjectionSubspace.full(2)
+    cone = tangent_cone(cset, np.zeros(2))
+    return krasovskii_vertices(cset, E, (0.0, 0.0), f), cone, project_partial(cone, E, f)
+
+
 def test_grid_guard_rejects_oversized_hulls_before_building(monkeypatch):
     # Shipped hulls have at most 4 vertices: 176,851 grid points at
     # resolution 0.01.  Six vertices would need C(105, 5) ~ 9.6e7, which
     # verify_equality refuses before it builds anything.
-    cset, f = orthant(), np.array([-1.0, -1.0])
-    E = ProjectionSubspace.full(2)
-    cone = tangent_cone(cset, np.zeros(2))
-    pi = project_partial(cone, E, f)
-    hull = krasovskii_vertices(cset, E, (0.0, 0.0), f)
+    hull, cone, pi = _orthant_corner_case()
     assert hull.n_vertices == 4 and math.comb(100 + 3, 3) == 176_851
     assert verify_equality(hull, cone, pi, 0.01).holds
 
@@ -237,15 +243,74 @@ def _compositions_recursive(total, k):
 
 
 @pytest.mark.parametrize(
-    "total,k", [(t, k) for k in range(1, 6) for t in (0, 1, 2, 7, 50)] + [(100, 4)]
+    "total,k",
+    [(t, k) for k in range(1, 6) for t in (0, 1, 2, 7, 50)]
+    + [(100, 4)]
+    + [(t, 2) for t in (255, 256, 70_000)],
 )
 def test_compositions_closed_form_matches_recursion(total, k):
     grid = _compositions(total, k)
-    assert grid.dtype == np.int64 and not grid.flags.writeable
+    assert grid.dtype == np.min_scalar_type(total) and not grid.flags.writeable
     assert grid.shape == (math.comb(total + k - 1, k - 1), k)
     assert np.all(grid.sum(axis=1) == total)
     assert np.array_equal(grid, np.array(_compositions_recursive(total, k), dtype=np.int64))
+    assert np.array_equal(grid, stars_and_bars(total, k))
     assert _compositions.cache_info().currsize >= 1
+
+
+def test_streamed_check_matches_full_grid_reference(monkeypatch):
+    import epds.verify
+
+    cases = []
+
+    def record(hull, T, pi, res, tol):
+        cases.append((hull, T, pi, res))
+        return verify_equality(hull, T, pi, res, tol)
+
+    # Pool sweeps: regular hulls at both resolutions, sector hulls at 0.02.
+    monkeypatch.setattr(epds.verify, "verify_equality", record)
+    pool = json.loads(POOL.read_text())
+    for row in pool["pool"][:2]:
+        epds.verify.verify_krasovskii(pool["count"], row["seed"])
+    monkeypatch.undo()
+    assert {0.02, 0.01} <= {res for *_, res in cases}
+
+    sec = Sector(0.0, 1.0)
+    corner = sector_krasovskii_vertices(sec, (0.0, 0.0), (1.0, 2.0))
+    T0 = sector_tangent_cone(sec, (0.0, 0.0))
+    cases.append((corner, T0, sector_project(sec, (0.0, 0.0), (1.0, 2.0)), 0.01))
+    E, x, f = ProjectionSubspace.full(2), (1.0, 2.0), (0.3, -0.4)
+    single = krasovskii_vertices(orthant(), E, x, f)
+    assert single.n_vertices == 1
+    T1 = tangent_cone(orthant(), x)
+    cases.append((single, T1, project_partial(T1, E, f), 0.02))
+    cases.append(_orthant_corner_case() + (0.01,))
+
+    n_witnesses = []
+    for hull, T, pi, res in cases:
+        rep = verify_equality(hull, T, pi, res, 1e-6)
+        holds, n, witnesses = reference_verify_equality(hull, T, pi, res, 1e-6)
+        assert (rep.holds, rep.n_witnesses) == (holds, n)
+        assert rep.witnesses.shape == witnesses.shape
+        assert rep.witnesses.tobytes() == witnesses.tobytes()
+        n_witnesses.append(n)
+    assert n_witnesses[-3] > 32 and n_witnesses[-1] == 0
+
+
+def test_grid_check_memory_does_not_grow_with_the_grid():
+    # The lattice is uint8 (0.7 MB for 176,851 rows) and is evaluated in
+    # blocks, so neither a cold nor a warm check holds the whole grid in
+    # floats, which would take about 17 MB.
+    hull, cone, pi = _orthant_corner_case()
+    _compositions.cache_clear()
+    for limit_mb in (6.0, 1.0):
+        tracemalloc.start()
+        try:
+            assert verify_equality(hull, cone, pi, 0.01).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6, (limit_mb, peak)
 
 
 def test_sector_project_at_origin_is_a_hull_vertex():
