@@ -5,10 +5,13 @@ regularized velocity set at x is the convex hull of one projected field
 value per subset J of the active constraints, each projected onto the
 relaxed cone that keeps only the rows in J (the Krasovskii regularization
 of Hauswirth, Bolognani, Hug and Dorfler, SIAM J. Control Optim. 59(1),
-2021).  For sectors the same builder runs on the rows of each convex part
-of the tangent cone: at the origin the subsets of K's two lines and of
--K's two lines give the tangent cones of all strata meeting every
-neighborhood of 0 (the full plane, the four boundary halfplanes, K and -K).
+2021).  Regular hulls project by the KKT solver ``project_partial``.
+For sectors the same subsets are taken of the rows of each convex part of
+the tangent cone: at the origin the subsets of K's two lines and of -K's
+two lines give the tangent cones of all strata meeting every neighborhood
+of 0 (the full plane, the four boundary halfplanes, K and -K).  Each is
+bounded by sector lines and projected along span{(0, 1)}, so its
+projection is a closed-form interval clamp.
 
 ``verify_equality`` then checks, on a barycentric grid over the hull,
 whether every hull point lying in the tangent cone coincides with the
@@ -16,6 +19,8 @@ partial projection: true for regular sets, and false exactly at sector
 corners approached with nonzero e-velocity.  The grid's integer lattice is
 built once per resolution and vertex count, in the smallest unsigned dtype,
 and is evaluated in fixed blocks; no array ever holds the grid's points.
+Row norms and cone rows are taken column by column and row by row, never
+by a numpy reduction over an axis only 2-4 wide.
 """
 
 from __future__ import annotations
@@ -37,12 +42,12 @@ from .geometry import (
     check_cq,
     sector_tangent_cone,
 )
+from .oracle import _branch_vstar
 from .projection import (
     ProjectionResult,
     ProjectionSubspace,
     feasible,
     project_partial,
-    sector_subspace,
 )
 
 # Vertices closer than this are one vertex (absolute, per design).
@@ -109,10 +114,19 @@ def _check_nesting(corrections: dict[tuple, float]) -> None:
                 )
 
 
+def _subsets(n: int):
+    """Every subset of range(n), by size, then lexicographically."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(n + 1)
+    )
+
+
 def _subset_vertices(
     rows: np.ndarray, names, E: ProjectionSubspace, f: np.ndarray
 ) -> list[tuple[tuple, np.ndarray]]:
-    """Projections of f onto the relaxed cone of every subset J of ``rows``.
+    """Projections of f onto the relaxed cone of every subset J of ``rows``,
+    each by the KKT solver ``project_partial``; regular hulls only, since a
+    sector's cones have the closed form of ``sector_krasovskii_vertices``.
 
     Each projection is labelled by the names of the rows in J.  A relaxed
     cone that misses f + Im E is skipped; the corrections of the others are
@@ -120,16 +134,15 @@ def _subset_vertices(
     """
     raw: list[tuple[tuple, np.ndarray]] = []
     corrections: dict[tuple, float] = {}
-    for size in range(len(rows) + 1):
-        for subset in itertools.combinations(range(len(rows)), size):
-            label = tuple(names[i] for i in subset)
-            cone = PolyhedralCone(dim=rows.shape[1], rows=rows[list(subset)])
-            try:
-                res = project_partial(cone, E, f)
-            except Infeasible:
-                continue
-            raw.append((label, res.w))
-            corrections[label] = res.correction_norm
+    for subset in _subsets(len(rows)):
+        label = tuple(names[i] for i in subset)
+        cone = PolyhedralCone(dim=rows.shape[1], rows=rows[list(subset)])
+        try:
+            res = project_partial(cone, E, f)
+        except Infeasible:
+            continue
+        raw.append((label, res.w))
+        corrections[label] = res.correction_norm
     _check_nesting(corrections)
     return raw
 
@@ -163,17 +176,29 @@ def sector_krasovskii_vertices(sec: Sector, s, w) -> KrasovskiiHull:
     rows.  At the origin it is K u -K, and the subsets of K's two lines and
     of -K's two lines give the strata meeting every neighborhood of 0: the
     full plane, the four boundary halfplanes, K and -K.  Labels number the
-    rows of K, then those of -K; cones missed by w + Im E' are skipped.
+    rows of K, then those of -K.  Every such cone is bounded by sector lines
+    and Im E' = span{(0, 1)}, so its projection of w = (e, u) is the
+    interval clamp ``oracle._branch_vstar``, (e, v*), with no KKT solve;
+    a cone whose interval is empty misses w + Im E' and is skipped.
     """
     s = _as_vector(s, 2)
     w = _as_vector(w, 2)
     cone = sector_tangent_cone(sec, s)
-    E2 = sector_subspace()
+    e, u = w.tolist()
     raw: list[tuple[tuple, np.ndarray]] = []
     offset = 0
     for part in cone.parts or (cone,):
-        raw += _subset_vertices(part.rows, range(offset, offset + part.n_rows), E2, w)
-        offset += part.n_rows
+        rows = part.rows.tolist()
+        corrections: dict[tuple, float] = {}
+        for subset in _subsets(len(rows)):
+            vstar = _branch_vstar([rows[i] for i in subset], (e, u))
+            if vstar is None:
+                continue
+            label = tuple(offset + i for i in subset)
+            raw.append((label, np.array([e, vstar])))
+            corrections[label] = abs(vstar - u)
+        _check_nesting(corrections)
+        offset += len(rows)
     verts, labels = _dedup_sort(raw)
     return KrasovskiiHull(vertices=verts, subset_labels=labels, point=s, field_value=w)
 
@@ -244,14 +269,38 @@ def _compositions(total: int, k: int) -> np.ndarray:
     return out
 
 
-def _contains_many(T: PolyhedralCone, P: np.ndarray, tol: float = EPS_CONE) -> np.ndarray:
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X, its squares summed column by column.
+
+    A reduction along an axis only 2-4 wide is slow in numpy; a loop over
+    the columns is not.  Up to 7 columns numpy's ``norm(X, axis=1)`` adds
+    the squares in this same order, so the two agree bit for bit; from 8
+    columns numpy sums pairwise, and the last bits may differ there.
+    """
+    acc = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        acc += X[:, j] * X[:, j]
+    return np.sqrt(acc)
+
+
+def _contains_many(
+    T: PolyhedralCone, P: np.ndarray, tol: float = EPS_CONE, pn: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise membership of the points P in T: every row i of each convex
+    part must have slack_i >= -tol (1 + |row_i| |p|).
+
+    The rows' tests are ANDed one at a time, and the point norms ``pn``
+    are computed once and shared by both parts of a union cone.
+    """
+    if pn is None:
+        pn = _row_norms(P)
     if not T.convex:
-        return _contains_many(T.parts[0], P, tol) | _contains_many(T.parts[1], P, tol)
-    if T.n_rows == 0:
-        return np.ones(P.shape[0], dtype=bool)
+        return _contains_many(T.parts[0], P, tol, pn) | _contains_many(T.parts[1], P, tol, pn)
     slack = P @ T.rows.T
-    scale = 1.0 + np.linalg.norm(T.rows, axis=1)[None, :] * np.linalg.norm(P, axis=1)[:, None]
-    return np.all(slack >= -tol * scale, axis=1)
+    ok = np.ones(P.shape[0], dtype=bool)
+    for i, rn_i in enumerate(_row_norms(T.rows)):
+        ok &= slack[:, i] >= -tol * (1.0 + rn_i * pn)
+    return ok
 
 
 def verify_equality(
@@ -269,7 +318,9 @@ def verify_equality(
 
     The cached lattice of ``_compositions`` is evaluated in blocks of
     _BLOCK rows, and only failing rows are kept, so the working memory
-    beyond the lattice does not grow with the grid.
+    beyond the lattice does not grow with the grid.  Distances to the
+    projection and membership scales use ``_row_norms``, bit for bit the
+    values of ``np.linalg.norm(axis=1)`` at these widths.
     """
     if not (0.0 < simplex_resolution <= 1.0):
         raise ValueError("simplex_resolution must lie in (0, 1]")
@@ -283,7 +334,7 @@ def verify_equality(
     bad_points, bad_dists = [np.zeros((0, V.shape[1]))], [np.zeros(0)]
     for start in range(0, n_points, _BLOCK):
         P = (grid[start : start + _BLOCK].astype(float) / float(n_steps)) @ V
-        dists = np.linalg.norm(P - pi.w[None, :], axis=1)
+        dists = _row_norms(P - pi.w)
         bad = _contains_many(T, P) & (dists > witness_tol)
         bad_points.append(P[bad])
         bad_dists.append(dists[bad])

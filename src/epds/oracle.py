@@ -10,6 +10,9 @@ minimization along the ray, along the Newton step projected onto each
 facet active at the point and along the edges where they meet, each line
 solved by interval arithmetic on the constraints.  The tangent-cone oracle
 tests the sequential definition directly with difference quotients.
+``_branch_vstar``, the exact interval projection along (0, 1) onto a cone
+of sector lines, is criterion 5's reference and also builds the sector
+Krasovskii hulls.
 
 It may be orders of magnitude slower than the main solvers; that is fine.
 """
@@ -106,6 +109,20 @@ def _t_interval(Gd, r, scale):
     if tmin > tmax:
         return None
     return tmin, tmax
+
+
+def _branch_vstar(rows, w) -> float | None:
+    """u of the projection of w = (e, u) along (0, 1) into the convex cone
+    of the sector line rows (a, b), as floats, or None if the cone misses
+    w + span{(0, 1)}: the least |t| with b_i t >= -(a_i e + b_i u), by
+    intervals.  One sector branch is its two lines; with no rows it is u."""
+    e, u = w
+    r = [-(a * e + b * u) for a, b in rows]
+    interval = _t_interval([b for _, b in rows], r, [1.0 + abs(x) for x in r])
+    if interval is None:
+        return None
+    tmin, tmax = interval
+    return u + min(max(0.0, tmin), tmax)
 
 
 def _line_min(eta, d, G, g, Q):

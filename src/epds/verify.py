@@ -23,7 +23,7 @@ from .geometry import (
     tangent_cone,
 )
 from .krasovskii import krasovskii_vertices, sector_krasovskii_vertices, verify_equality
-from .oracle import _t_interval, oracle_project
+from .oracle import _branch_vstar, oracle_project
 from .projection import (
     EPS_PHASE1,
     ProjectionSubspace,
@@ -106,19 +106,6 @@ def well_posed_instance(cone: PolyhedralCone, E: ProjectionSubspace, v: np.ndarr
     rows = np.vstack([Gn, eye, -eye])
     rhs = np.concatenate([g / rn, np.full(2 * n_e, -bound)])
     return bool(_phase1(rows, rhs) <= EPS_PHASE1)
-
-
-def _branch_vstar(rows, w) -> float | None:
-    """u of the projection of w = (e, u) along (0, 1) into one convex sector
-    branch given by its line rows (a, b) as floats, or None if the branch
-    misses it: the least |t| with b_i t >= -(a_i e + b_i u), by intervals."""
-    e, u = w
-    r = [-(a * e + b * u) for a, b in rows]
-    interval = _t_interval([b for _, b in rows], r, [1.0 + abs(x) for x in r])
-    if interval is None:
-        return None
-    tmin, tmax = interval
-    return u + min(max(0.0, tmin), tmax)
 
 
 def verify_projection(count: int = 10_000, seed: int = 0, max_dim: int = 6) -> dict:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from epds import Plant, StateExploded, build_closed_loop, drift_correct, higs_preset
-from epds.krasovskii import _contains_many
-from epds.projection import vstar_selector
+from epds.geometry import EPS_CONE, _as_vector, sector_tangent_cone
+from epds.krasovskii import KrasovskiiHull, _dedup_sort, _subset_vertices
+from epds.projection import sector_subspace, vstar_selector
 from epds.sim import BLOWUP_BOUND, Trace, _step_schedule, eval_input
 
 
@@ -176,11 +177,47 @@ def stars_and_bars(total, k):
     return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
+def reference_sector_krasovskii_vertices(sec, s, w):
+    """``krasovskii.sector_krasovskii_vertices`` as it was before its closed
+    form, kept as the reference the closed form must match: every subset of
+    each convex part's rows is projected by the KKT solver
+    ``project_partial`` (through ``_subset_vertices``), with the same labels,
+    subset order, nesting check and deduplication.
+    """
+    s = _as_vector(s, 2)
+    w = _as_vector(w, 2)
+    cone = sector_tangent_cone(sec, s)
+    E2 = sector_subspace()
+    raw = []
+    offset = 0
+    for part in cone.parts or (cone,):
+        raw += _subset_vertices(part.rows, range(offset, offset + part.n_rows), E2, w)
+        offset += part.n_rows
+    verts, labels = _dedup_sort(raw)
+    return KrasovskiiHull(vertices=verts, subset_labels=labels, point=s, field_value=w)
+
+
+def reference_contains_many(T, P, tol=EPS_CONE):
+    """Membership of the points P in T as ``krasovskii._contains_many``
+    tested it before its column-wise kernel: one scale matrix and one
+    ``np.all`` over the rows of each convex part, with ``np.linalg.norm``
+    for every norm."""
+    if not T.convex:
+        parts = [reference_contains_many(part, P, tol) for part in T.parts]
+        return parts[0] | parts[1]
+    if T.n_rows == 0:
+        return np.ones(P.shape[0], dtype=bool)
+    slack = P @ T.rows.T
+    scale = 1.0 + np.linalg.norm(T.rows, axis=1)[None, :] * np.linalg.norm(P, axis=1)[:, None]
+    return np.all(slack >= -tol * scale, axis=1)
+
+
 def reference_verify_equality(hull, T, pi, simplex_resolution=0.02, witness_tol=1e-6):
     """``krasovskii.verify_equality`` as it was before it streamed its
     lattice in blocks, kept as the reference that the streamed check must
     reproduce bit for bit: the whole grid in one array, one product, one
-    membership test and one distance per point.  Returns (holds,
+    row-wise membership test (``reference_contains_many``) and one
+    ``np.linalg.norm`` distance per point.  Returns (holds,
     n_witnesses, witnesses).
     """
     V = np.atleast_2d(hull.vertices)
@@ -191,7 +228,7 @@ def reference_verify_equality(hull, T, pi, simplex_resolution=0.02, witness_tol=
     else:
         lam = stars_and_bars(n_steps, k).astype(float) / float(n_steps)
         P = lam @ V
-    in_cone = _contains_many(T, P)
+    in_cone = reference_contains_many(T, P)
     dists = np.linalg.norm(P - pi.w[None, :], axis=1)
     bad = in_cone & (dists > witness_tol)
     witnesses = P[bad]

@@ -32,9 +32,10 @@ from epds import (
 )
 import epds.projection
 import epds.verify
+from epds.oracle import _branch_vstar
 from epds.projection import feasible, project_partial
 from epds.sim import SinusoidSegment
-from epds.verify import _branch_vstar, verify_projection, verify_krasovskii
+from epds.verify import verify_projection, verify_krasovskii
 from conftest import corner_cones, euler_time_embedded, make_higs_benchmark
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from epds import (
     ConstraintSet,
@@ -24,9 +27,18 @@ from epds import (
     verify_equality,
 )
 import epds.krasovskii
-from epds.krasovskii import DEDUP_TOL, _compositions
+import epds.verify
+from epds.geometry import EPS_CONE
+from epds.krasovskii import DEDUP_TOL, _compositions, _contains_many, _row_norms
 from epds.projection import sector_subspace
-from conftest import corner_cones, orthant, reference_verify_equality, stars_and_bars
+from conftest import (
+    corner_cones,
+    orthant,
+    reference_contains_many,
+    reference_sector_krasovskii_vertices,
+    reference_verify_equality,
+    stars_and_bars,
+)
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "krasovskii_pool.json"
 
@@ -120,6 +132,109 @@ def test_sector_hull_regular_boundary_point():
     hull = sector_krasovskii_vertices(sec, (1.0, 1.0), (0.0, 1.0))
     assert hull.n_vertices == 2
     assert _has_vertex(hull, (0.0, 1.0)) and _has_vertex(hull, (0.0, 0.0))
+
+
+# Points on every stratum of a sector, as (e, u) for e > 0: the origin, each
+# line on K and on -K, and the interior of K and of -K.
+_STRATA = ("origin", "k1 on K", "k2 on K", "k1 on -K", "k2 on -K", "inside K", "inside -K")
+
+
+def _stratum_point(sec, stratum, e):
+    if stratum == "origin":
+        return np.zeros(2)
+    slope = {"k1": sec.k1, "k2": sec.k2, "inside": 0.5 * (sec.k1 + sec.k2)}[stratum.split()[0]]
+    e = -e if stratum.endswith("-K") else e
+    return np.array([e, slope * e])
+
+
+@given(
+    k1=st.floats(-5.0, 5.0),
+    width=st.floats(1e-3, 10.0),
+    stratum=st.sampled_from(_STRATA),
+    log_e=st.floats(-3.0, 3.0),
+    log_w=st.floats(-6.0, 6.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    zero_edot=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sector_hull_closed_form_matches_kkt_reference(
+    k1, width, stratum, log_e, log_w, angle, zero_edot
+):
+    # The interval clamp and the KKT builder agree wherever edot is 0 or
+    # clear of project_partial's phase-1 tolerance; the band below that is
+    # pinned by test_sector_hull_in_the_kkt_tolerance_band.
+    sec = Sector(k1, k1 + width)
+    s = _stratum_point(sec, stratum, 10.0**log_e)
+    r = 10.0**log_w
+    if zero_edot:
+        w = np.array([0.0, math.copysign(r, math.sin(angle))])
+    else:
+        w = np.array([r * math.cos(angle), r * math.sin(angle)])
+        assume(abs(w[0]) >= 1e-6 * (1.0 + r))
+    hull = sector_krasovskii_vertices(sec, s, w)
+    ref = reference_sector_krasovskii_vertices(sec, s, w)
+    assert hull.subset_labels == ref.subset_labels
+    assert hull.n_vertices == ref.n_vertices
+    assert np.abs(hull.vertices - ref.vertices).max() <= 1e-12 * (1.0 + r)
+
+
+def test_sector_hulls_never_call_the_kkt_solver(monkeypatch):
+    # Every sector cone has the closed form, so no stratum may fall back on
+    # project_partial; the regular builder keeps it.
+    def no_kkt(*args):
+        raise AssertionError("a sector hull called project_partial")
+
+    monkeypatch.setattr(epds.krasovskii, "project_partial", no_kkt)
+    sec = Sector(-0.5, 0.8)
+    labels = set()
+    for stratum in _STRATA:
+        s = _stratum_point(sec, stratum, 1.5)
+        labels.add(sec.classify(*s).label)
+        for w in [(1.0, 2.0), (-1.0, 0.3), (0.0, -1.0), (0.0, 0.0)]:
+            assert sector_krasovskii_vertices(sec, s, w).n_vertices >= 1
+    assert labels == {"corner", "K", "minusK", "interior"}
+
+
+@pytest.mark.parametrize("w", [(1e-14, 0.0), (-1e-14, 0.0), (-1e-300, 0.0)])
+def test_sector_hull_at_a_vanishing_edot_has_one_vertex(w):
+    # The KKT builder raised DegenerateKKT on these three: no support of
+    # the nearly empty branch cone passed its checks.  The clamp gives the
+    # single vertex (w_e, 0), and the corner check holds.
+    sec = Sector(0.0, 1.0)
+    hull = sector_krasovskii_vertices(sec, (0.0, 0.0), w)
+    assert hull.vertices.tolist() == [[w[0], 0.0]]
+    pi = sector_project(sec, (0.0, 0.0), w)
+    assert verify_equality(hull, sector_tangent_cone(sec, (0.0, 0.0)), pi, 0.02).holds
+
+
+@pytest.mark.parametrize(
+    "edot,empty",
+    [(1e-12, (2, 3)), (-1e-12, (0, 1)), (1e-9, (2, 3)), (-1e-9, (0, 1))],
+)
+def test_sector_hull_in_the_kkt_tolerance_band(edot, empty):
+    # On Sector(0, 1) at the origin the branch that edot leaves, -K for
+    # edot > 0 and K for edot < 0, misses w + span{(0, 1)} by |edot|.  The
+    # interval test skips it; project_partial admits it within EPS_PHASE1,
+    # so the KKT reference also lists its label.  The vertex sets agree.
+    sec = Sector(0.0, 1.0)
+    w = (edot, 0.7)
+    hull = sector_krasovskii_vertices(sec, (0.0, 0.0), w)
+    ref = reference_sector_krasovskii_vertices(sec, (0.0, 0.0), w)
+    assert hull.n_vertices == ref.n_vertices
+    assert np.abs(hull.vertices - ref.vertices).max() <= DEDUP_TOL
+    for labels, ref_labels in zip(hull.subset_labels, ref.subset_labels):
+        assert set(labels) <= set(ref_labels)
+    flat = Counter(itertools.chain(*hull.subset_labels))
+    assert empty not in flat
+    assert set(Counter(itertools.chain(*ref.subset_labels)) - flat) <= {empty}
+
+
+def test_sector_sweep_fires_on_a_hull_of_w_alone(monkeypatch):
+    # A builder whose every vertex is w misses the corner's admissible
+    # segment, so the sector sweep must report mismatches.
+    assert epds.verify.verify_krasovskii(30, seed=1)["sector_pattern_mismatches"] == 0
+    monkeypatch.setattr(epds.krasovskii, "_branch_vstar", lambda rows, w: w[1])
+    assert epds.verify.verify_krasovskii(30, seed=1)["sector_pattern_mismatches"] > 0
 
 
 def test_equality_holds_for_finitely_generated(rng):
@@ -295,6 +410,52 @@ def test_streamed_check_matches_full_grid_reference(monkeypatch):
         assert rep.witnesses.tobytes() == witnesses.tobytes()
         n_witnesses.append(n)
     assert n_witnesses[-3] > 32 and n_witnesses[-1] == 0
+
+
+@pytest.mark.parametrize("n_cols", range(1, 8))
+def test_row_norms_match_numpy_bit_for_bit(n_cols):
+    # Rows spread over many magnitudes, so any other summation order would
+    # round differently; zeros and -0.0 included, at scales that underflow
+    # and overflow the squares.
+    rng = np.random.default_rng(n_cols)
+    X = rng.standard_normal((2_000, n_cols)) * np.exp(3.0 * rng.standard_normal((2_000, n_cols)))
+    X[::5] = 0.0
+    X[1::5, 0] = -0.0
+    X[2::5, -1] = -0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for scale in (1e-160, 1.0, 1e160):
+            Y = X * scale
+            assert _row_norms(Y).tobytes() == np.linalg.norm(Y, axis=1).tobytes(), scale
+
+
+def test_membership_kernel_matches_reference_at_the_tolerance():
+    # Grid points seldom fall within EPS_CONE of a facet, so place some
+    # there: on each row's plane, then 0.9 and 1.1 tolerances outside it.
+    # The row-by-row kernel must decide exactly as the reference, and the
+    # tolerance must decide some points.
+    rng = np.random.default_rng(11)
+    sec = Sector(-0.5, 0.8)
+    cones = [
+        sector_tangent_cone(sec, (0.0, 0.0)),
+        sector_tangent_cone(sec, (1.0, 0.8)),
+        sector_tangent_cone(sec, (1.0, 0.1)),
+        tangent_cone(orthant(3), np.zeros(3)),
+    ]
+    decided = 0
+    for T in cones:
+        for part in T.parts or (T,):
+            for row in part.rows:
+                Q = rng.standard_normal((400, T.dim)) * 10.0 ** rng.uniform(-2, 2, (400, 1))
+                on = Q - np.outer(Q @ row, row) / (row @ row)
+                push = EPS_CONE * (1.0 + np.linalg.norm(row) * np.linalg.norm(on, axis=1))
+                inside = []
+                for c in (0.9, 1.1):
+                    P = on - np.outer(c * push / (row @ row), row)
+                    got = _contains_many(T, P)
+                    assert np.array_equal(got, reference_contains_many(T, P))
+                    inside.append(got)
+                decided += int(np.sum(inside[0] & ~inside[1]))
+    assert decided > 0
 
 
 def test_grid_check_memory_does_not_grow_with_the_grid():
