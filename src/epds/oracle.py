@@ -85,13 +85,20 @@ def _residual(row, b, eta):
 
 
 def _edge_directions(rows: np.ndarray) -> list[np.ndarray]:
-    """Directions of the edges where two of the given 3-D facets meet."""
+    """Directions of the edges where two of the given 3-D facets meet.
+
+    The cross product picks the pairs and the sign; the direction itself is
+    the null vector of the pair's SVD.  For nearly opposite rows the cross
+    product cancels and leaves the direction tilted off both facets by far
+    more than roundoff, which ``_line_min`` reads as crossing them.
+    """
     dirs: list[np.ndarray] = []
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             t = np.cross(rows[i], rows[j])
             if np.linalg.norm(t) > 1e-12:
-                dirs.append(t / np.linalg.norm(t))
+                d = np.linalg.svd(rows[[i, j]])[2][-1]
+                dirs.append(d if d @ t >= 0.0 else -d)
     return dirs
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from epds import (
     ConstraintSet,
@@ -316,6 +316,35 @@ def test_fm_seed_on_empty_and_free_systems():
 
 
 @given(kkt_instances())
+# Rows 0 and 1 are nearly opposite in E's coordinates (cosine -0.9999995):
+# their cross product tilted the edge direction 4e-14 off both facets, the
+# edge search read that as crossing them, and the oracle stopped 0.26 short.
+@example(
+    instance=(
+        PolyhedralCone(
+            dim=3,
+            rows=np.array(
+                [
+                    [-0.03033561, 0.32330268, 0.94580925],
+                    [-0.38517387, -0.06338538, -0.92066464],
+                    [-0.38517387, -0.06338538, -0.92066464],
+                    [0.08794903, -0.96995422, -0.22683424],
+                ]
+            ),
+        ),
+        ProjectionSubspace(
+            3,
+            np.array(
+                [
+                    [0.15419163, 0.11978817, 0.22666965],
+                    [0.12766077, 0.11170677, 0.21684379],
+                    [0.53385311, 0.34373646, 0.65827597],
+                ]
+            ),
+        ),
+        np.array([1.79563621, -1.1303421, 1.16631547]),
+    )
+)
 @settings(max_examples=300, deadline=None)
 def test_oracle_matches_solver_on_degenerate_cones(instance):
     # Duplicate, scaled, dependent and orthogonal rows: the exact seed must
