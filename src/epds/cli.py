@@ -36,12 +36,15 @@ def _configure_logging() -> None:
         log.error("unknown EPDS_LOG value %r (use error|info|debug)", level)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Have ``write`` fill a temp file beside ``path``, then rename it to
+    ``path``.  If anything fails, the temp file is removed and the error
+    propagates."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".epds-", suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,7 +53,13 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
 
 
 def _error_json(kind: str, **extra) -> None:
@@ -91,13 +100,7 @@ def cmd_run(args) -> int:
     except EpdsError as exc:
         _error_json("validation", field="initial_state", message=str(exc))
         return EXIT_VALIDATION
-    # Write the CSV through the same atomic path as the summary.
-    with tempfile.NamedTemporaryFile(
-        "w", dir=args.out, prefix=".epds-", suffix=".tmp", delete=False, encoding="utf-8"
-    ) as fh:
-        tmpname = fh.name
-    trace.to_csv(tmpname)
-    os.replace(tmpname, trace_path)
+    _atomic_write(trace_path, trace.to_csv)
     summary = {"scenario": scenario.name, "h": h, "horizon": T, **trace.summary()}
     _atomic_write_json(summary_path, summary)
     print(json.dumps(summary))

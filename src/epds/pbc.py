@@ -21,6 +21,7 @@ references, not on the simulation path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,10 +73,17 @@ class ClosedLoopSystem:
     controller: Controller
     sector: Sector
     H: np.ndarray
-    E: ProjectionSubspace
 
     def __post_init__(self):
         object.__setattr__(self, "H", _readonly(self.H))
+
+    @functools.cached_property
+    def E(self) -> ProjectionSubspace:
+        """The correction subspace, built on first use: the simulator's
+        closed form never needs it, and its construction takes an SVD."""
+        basis = np.zeros((self.dim, self.m))
+        basis[self.n :, :] = np.eye(self.m)
+        return ProjectionSubspace(ambient_dim=self.dim, basis=basis)
 
     @property
     def n(self) -> int:
@@ -117,24 +125,18 @@ def build_closed_loop(plant: Plant, controller: Controller, sector) -> ClosedLoo
     if not isinstance(sector, Sector):
         k1, k2 = sector
         sector = Sector(k1, k2)  # raises DegenerateSector if k1 >= k2
-    if np.linalg.norm(plant.gp) == 0.0:
+    g = float(np.linalg.norm(plant.gp))
+    if g == 0.0:
         raise ZeroOutputRow("plant output row gp is zero")
+    # H = [gp 0; 0 e1] has orthogonal rows, so its singular values are
+    # |gp| and 1: the rank test needs no SVD.
+    if min(g, 1.0) <= 1e-12 * max(g, 1.0):
+        raise ZeroOutputRow("output map H lost full row rank")
     n, m = plant.n, controller.m
     H = np.zeros((2, n + m))
     H[0, :n] = plant.gp
     H[1, n] = 1.0
-    sv = np.linalg.svd(H, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise ZeroOutputRow("output map H lost full row rank")
-    basis = np.zeros((n + m, m))
-    basis[n:, :] = np.eye(m)
-    return ClosedLoopSystem(
-        plant=plant,
-        controller=controller,
-        sector=sector,
-        H=H,
-        E=ProjectionSubspace(ambient_dim=n + m, basis=basis),
-    )
+    return ClosedLoopSystem(plant=plant, controller=controller, sector=sector, H=H)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,13 @@ never along plant states) before the next step, and the row is flagged.
 Recording the pre-correction residual keeps the first-order drift visible:
 halving the step should roughly halve the worst residual.
 
+Memory grows with what the trace holds, so long horizons stay cheap.
+``integrate`` appends each row to one flat float buffer (with the branch
+labels and drift flags beside it) and builds the trace's columns from it at
+the end; ``Trace.to_csv`` formats and writes CSV_BLOCK_ROWS rows at a time.
+On the three-state HIGS loop that is about 200 bytes of Python heap per row
+at the peak of ``integrate``, and one block's text in the writer.
+
 The simulator produces one Caratheodory-consistent approximation; it makes
 no uniqueness claim.
 """
@@ -23,6 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,7 @@ from .pbc import ClosedLoopSystem, closed_loop_rhs
 
 DEFAULT_STEP = 1e-3
 BLOWUP_BOUND = 1e12  # |xi| beyond which integrate raises StateExploded
+CSV_BLOCK_ROWS = 512  # rows formatted per write by Trace.to_csv
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +246,11 @@ class Trace:
         }
 
     def to_csv(self, path) -> None:
-        """Write one row per step; floats in %.17g, so they round-trip exactly."""
+        """Write one row per step; floats in %.17g, so they round-trip exactly.
+
+        The header goes first, then blocks of CSV_BLOCK_ROWS rows, one write
+        each, so the text in memory is one block's, not the whole file's.
+        """
         dim = self.xi.shape[1]
         header = (
             ["t"]
@@ -253,18 +266,22 @@ class Trace:
                 "drift_corrected",
             ]
         )
-        numeric = np.column_stack(
-            [self.t, self.xi, self.e, self.u, self.edot, self.vstar,
-             self.correction_norm, self.sector_residual]
-        ).tolist()
         lead = dim + 5  # t, xi, e, u, edot, vstar: the columns before branch
         row = ",".join(["%.17g"] * lead) + ",%s,%.17g,%.17g,%s\n"
-        body = "".join(
-            row % (*r[:lead], b, r[lead], r[lead + 1], "1" if d else "0")
-            for r, b, d in zip(numeric, self.branch, self.drift_corrected.tolist())
-        )
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n" + body)
+            fh.write(",".join(header) + "\n")
+            for start in range(0, self.n_rows, CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                numeric = np.column_stack(
+                    [self.t[block], self.xi[block], self.e[block], self.u[block],
+                     self.edot[block], self.vstar[block], self.correction_norm[block],
+                     self.sector_residual[block]]
+                ).tolist()
+                fh.write("".join(
+                    row % (*r[:lead], b, r[lead], r[lead + 1], "1" if d else "0")
+                    for r, b, d in zip(numeric, self.branch[block],
+                                       self.drift_corrected[block].tolist())
+                ))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +306,10 @@ def drift_correct(sys: ClosedLoopSystem, xi) -> tuple[np.ndarray, bool]:
     out = xi.copy()
     out[sys.n] = min(max(u, lo), hi)
     return out, True
+
+
+# The seven scalar columns of a trace row, packed as native float64.
+_ROW_SCALARS = struct.Struct("=7d")
 
 
 def _step_schedule(signal: InputSignal, T: float, h: float):
@@ -334,29 +355,37 @@ def integrate(
             f"output pair {sys.output_pair(xi0).tolist()} is outside the sector"
         )
 
-    H, sector = sys.H, sys.sector
-    rows = []
+    H = sys.H
+    k1, k2 = sys.sector.k1, sys.sector.k2
+    # One flat buffer of float64 rows (t, e, u, edot, vstar, correction_norm,
+    # residual, then the raw state), filled as the rows are produced.
+    rows = bytearray()
+    branches: list[str] = []
+    drift = bytearray()
     raw = xi0.copy()
     # The schedule's steps, then the row at T, which takes no step.
     for t, dt, t_next in itertools.chain(_step_schedule(signal, T, h), [(T, None, None)]):
         stepped, corrected = drift_correct(sys, raw)
         r = closed_loop_rhs(sys, stepped, eval_input(signal, t))
-        eu = H.dot(raw)
-        e, u = eu.tolist()
-        rows.append((t, raw, e, u, r.edot, r.vstar, r.branch, r.correction_norm,
-                     sector.residual(eu), corrected))
+        e, u = H.dot(raw).tolist()
+        # The residual is Sector.residual's expression on the floats in hand.
+        rows += _ROW_SCALARS.pack(t, e, u, r.edot, r.vstar, r.correction_norm,
+                                  (u - k1 * e) * (u - k2 * e))
+        rows += raw.tobytes()
+        branches.append(r.branch)
+        drift.append(corrected)
         if dt is None:
             break
         raw = stepped + dt * r.field
         norm = math.sqrt(raw.dot(raw))  # np.linalg.norm(raw), as numpy computes it
         if norm > BLOWUP_BOUND:
             raise StateExploded(t_next, norm, BLOWUP_BOUND)
-    # Trace converts each column once; no recorded state is written after
-    # its step, so rows hold the states themselves, not copies.
-    t, xi, e, u, edot, vstar, branch, corr, residual, drift = zip(*rows)
+    table = np.frombuffer(rows).reshape(-1, 7 + sys.dim)
+    t, e, u, edot, vstar, corr, residual = table[:, :7].T
     return Trace(
-        t=t, xi=xi, e=e, u=u, edot=edot, vstar=vstar, branch=branch,
-        correction_norm=corr, sector_residual=residual, drift_corrected=drift, h=h,
+        t=t, xi=table[:, 7:], e=e, u=u, edot=edot, vstar=vstar, branch=tuple(branches),
+        correction_norm=corr, sector_residual=residual,
+        drift_corrected=np.frombuffer(drift, dtype=bool), h=h,
     )
 
 
@@ -427,32 +456,36 @@ def convergence_study(
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
     entries: list[dict] = []
-    traces: list[Trace | None] = []
+    # Per h, the two things the study reads of a run: (max_violation,
+    # terminal state), or None for a blow-up.  No trace is kept.
+    ends: list[tuple[float, np.ndarray] | None] = []
     for h in hs:
         try:
             tr = integrate(sys, xi0, signal, T, h)
         except StateExploded as exc:
             entries.append({"h": h, "status": "StateExploded", "t": exc.t, "norm": exc.norm})
-            traces.append(None)
+            ends.append(None)
             continue
+        violation, terminal = tr.max_violation, tr.xi[-1].copy()
+        del tr  # freed before the next, finer run
+        ends.append((violation, terminal))
         entries.append(
             {
                 "h": h,
                 "status": "ok",
-                "max_violation": tr.max_violation,
-                "terminal_state": [float(v) for v in tr.xi[-1]],
+                "max_violation": violation,
+                "terminal_state": [float(v) for v in terminal],
             }
         )
-        traces.append(tr)
     orders: list[float] = []
     deltas: list[float] = []
-    for (h1, t1), (h2, t2) in zip(zip(hs, traces), zip(hs[1:], traces[1:])):
-        if t1 is None or t2 is None:
+    for (h1, end1), (h2, end2) in zip(zip(hs, ends), zip(hs[1:], ends[1:])):
+        if end1 is None or end2 is None:
             continue
-        v1, v2 = t1.max_violation, t2.max_violation
+        (v1, x1), (v2, x2) = end1, end2
         if v1 > 0.0 and v2 > 0.0:
             orders.append(float(math.log(v1 / v2) / math.log(h1 / h2)))
-        deltas.append(float(np.linalg.norm(t1.xi[-1] - t2.xi[-1])))
+        deltas.append(float(np.linalg.norm(x1 - x2)))
     return ConvergenceReport(
         entries=tuple(entries),
         observed_orders=tuple(orders),

@@ -161,6 +161,32 @@ def reference_integrate(sys, xi0, signal, T, h):
     )
 
 
+
+def reference_to_csv(trace, path):
+    """``Trace.to_csv`` as it was before it streamed, kept as the reference
+    that the block writer must reproduce byte for byte: the whole trace is
+    stacked into one list of rows and the file is written as one string.
+    """
+    dim = trace.xi.shape[1]
+    header = (
+        ["t"]
+        + [f"xi_{i}" for i in range(dim)]
+        + ["e", "u", "edot", "vstar", "branch", "correction_norm", "sector_residual",
+           "drift_corrected"]
+    )
+    numeric = np.column_stack(
+        [trace.t, trace.xi, trace.e, trace.u, trace.edot, trace.vstar,
+         trace.correction_norm, trace.sector_residual]
+    ).tolist()
+    lead = dim + 5  # t, xi, e, u, edot, vstar: the columns before branch
+    row = ",".join(["%.17g"] * lead) + ",%s,%.17g,%.17g,%s\n"
+    body = "".join(
+        row % (*r[:lead], b, r[lead], r[lead + 1], "1" if d else "0")
+        for r, b, d in zip(numeric, trace.branch, trace.drift_corrected.tolist())
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n" + body)
+
 def stars_and_bars(total, k):
     """Lattice of all k-tuples of nonnegative integers summing to total, in
     lexicographic order, as ``krasovskii._compositions`` built it before its

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +12,7 @@ from epds import (
     NotInSet,
     Plant,
     Sector,
+    StateExploded,
     ZeroOutputRow,
     build_closed_loop,
     closed_loop_rhs,
@@ -16,6 +20,7 @@ from epds import (
     feasible,
     growth_check,
     higs_preset,
+    integrate,
     lifted_tangent_cone,
     oracle_project,
     project_partial,
@@ -24,6 +29,7 @@ from epds import (
     sector_tangent_cone,
 )
 from epds.geometry import EPS_MEM
+from epds.scenario import build_runtime, scenario_from_json
 from conftest import make_higs_benchmark
 
 
@@ -53,6 +59,47 @@ def test_build_error_cases():
         build_closed_loop(double_integrator(), one_state_integrator(), (1.0, 1.0))
     with pytest.raises(ValueError):
         Controller(m=0, f_c=lambda z, e: np.zeros(0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", range(-14, 15))
+def test_rank_check_matches_the_svd_verdict(k, n):
+    # H = [gp 0; 0 e1] with |gp| = 10^k: the closed-form test decides as the
+    # SVD test it replaced, on both sides of 1e-12 and of 1e12.
+    gp = np.zeros(n)
+    gp[0] = 10.0**k
+    H = np.zeros((2, n + 1))
+    H[0, :n] = gp
+    H[1, n] = 1.0
+    sv = np.linalg.svd(H, compute_uv=False)
+    plant = Plant(n=n, f_p=lambda x, u, w: np.zeros(n), gp=gp)
+    if sv[-1] <= 1e-12 * sv[0]:
+        assert abs(k) >= 12
+        with pytest.raises(ZeroOutputRow, match="output map H lost full row rank"):
+            build_closed_loop(plant, one_state_integrator(), Sector(0.0, 1.0))
+    else:
+        assert abs(k) < 12
+        sys = build_closed_loop(plant, one_state_integrator(), Sector(0.0, 1.0))
+        assert sys.H.tobytes() == H.tobytes()
+
+
+def test_build_and_run_take_no_lapack_call(monkeypatch):
+    # Parsing, building and integrating the shipped scenarios must not reach
+    # LAPACK: the rank test is closed-form, and E is built only on use.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for name in ("svd", "qr", "solve", "lstsq", "inv", "pinv", "eig", "eigh", "det"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    root = Path(__file__).resolve().parent.parent / "scenarios"
+    for name in ("higs_benchmark", "tracking_benchmark", "blowup"):
+        b = build_runtime(scenario_from_json(json.loads((root / f"{name}.json").read_text())))
+        try:
+            integrate(b.system, b.xi0, b.signal, b.horizon, b.step)
+        except StateExploded:
+            assert name == "blowup"
+        else:
+            assert name != "blowup"
 
 
 def test_rhs_interior_unprojected(higs_system):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import epds
+import epds.sim
 from epds import ScenarioError, scenario_from_json
 from epds.cli import build_parser, main
 from epds.scenario import build_runtime
@@ -300,6 +301,34 @@ def test_no_stray_temp_files_after_run(tmp_path):
     assert leftovers == []
     assert sorted(os.listdir(out)) == ["summary.json", "trace.csv"]
 
+
+
+def test_failed_csv_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    # The writer fails after its header and first block: the error
+    # propagates, and neither the partial temp file nor trace.csv is left.
+    path = write_scenario(tmp_path, HIGS_DOC)
+    out = tmp_path / "out"
+    writes = []
+    real_open = open
+
+    def failing_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        real_write = fh.write
+
+        def write(text):
+            if len(writes) == 2:
+                raise OSError("no space left on device")
+            writes.append(text)
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(epds.sim, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        main(["run", path, "--out", str(out), "--T", "20"])
+    assert len(writes) == 2 and writes[1].count("\n") == epds.sim.CSV_BLOCK_ROWS
+    assert os.listdir(out) == []
 
 def test_run_path_does_not_import_scipy(tmp_path):
     # Importing scipy is most of a CLI start's time and much of its memory,

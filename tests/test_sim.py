@@ -1,6 +1,10 @@
+import functools
 import json
+import math
 import random
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +28,18 @@ from epds import (
 )
 import epds.projection
 from epds.scenario import build_runtime, scenario_from_json
-from epds.sim import BLOWUP_BOUND, ConstantSegment, PolynomialSegment, RampSegment, SinusoidSegment
-from conftest import euler_time_embedded, make_higs_benchmark, reference_integrate
+import epds.sim
+from epds.sim import (
+    BLOWUP_BOUND,
+    CSV_BLOCK_ROWS,
+    TRACE_BRANCHES,
+    ConstantSegment,
+    PolynomialSegment,
+    RampSegment,
+    SinusoidSegment,
+    Trace,
+)
+from conftest import euler_time_embedded, make_higs_benchmark, reference_integrate, reference_to_csv
 
 
 def zero_system():
@@ -365,3 +379,121 @@ def test_reference_loop_scenarios_cover_every_branch_and_correction():
         corrections += int(np.sum(tr.drift_corrected))
     assert seen == {"interior", "K", "minusK", "corner"}
     assert corrections > 0
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_trace(name):
+    b = build_runtime(scenario_from_json(_shipped(name)))
+    return integrate(b.system, b.xi0, b.signal, b.horizon, b.step)
+
+
+def _head(trace, n):
+    """The first n rows of a trace, as a trace."""
+    assert trace.n_rows >= n
+    return Trace(**{name: getattr(trace, name)[:n] for name in TRACE_ARRAYS},
+                 branch=trace.branch[:n], h=trace.h)
+
+
+def _special_values_trace():
+    """Six rows whose float cells hold 0, -0.0, nan, +-inf and a subnormal."""
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]
+
+    def col(shift):
+        return np.array(special[shift:] + special[:shift])
+
+    return Trace(
+        t=np.array([-0.0, 5e-324, 1e-300, 1.0, 2.5, 1e300]),
+        xi=np.column_stack([col(1), col(2)]), e=col(3), u=col(4), edot=col(5), vstar=col(0),
+        branch=TRACE_BRANCHES + TRACE_BRANCHES[:2], correction_norm=col(1),
+        sector_residual=col(2), drift_corrected=np.array([1, 0, 0, 1, 1, 0], dtype=bool), h=0.5,
+    )
+
+
+def _csv_cases():
+    B = CSV_BLOCK_ROWS
+    head = [(f"higs_head_{n}", lambda n=n: _head(_shipped_trace("higs_benchmark"), n))
+            for n in (1, B - 1, B, B + 1, 2 * B + 1)]
+    shipped = [(name, lambda name=name: _shipped_trace(name))
+               for name in ("higs_benchmark", "tracking_benchmark")]
+    return head + shipped + [("special_values", _special_values_trace)]
+
+
+@pytest.mark.parametrize("make", [m for _, m in _csv_cases()], ids=[n for n, _ in _csv_cases()])
+def test_block_writer_matches_reference_csv(make, tmp_path):
+    # The streamed writer against the one-shot writer it replaced, on row
+    # counts around the block size, the shipped traces and non-finite,
+    # signed-zero and subnormal cells.
+    trace = make()
+    trace.to_csv(tmp_path / "got.csv")
+    reference_to_csv(trace, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\n") == trace.n_rows + 1
+
+
+def test_integrate_and_to_csv_memory_per_row(tmp_path):
+    # Peak Python-heap bytes per row over the 20,002 rows of higs_benchmark
+    # at T = 200.  The loop fills flat buffers and the writer holds one block
+    # at a time, so both stay far below the per-row tuples (625 B/row) and
+    # whole-file strings (952 B/row) they replaced.
+    b = build_runtime(scenario_from_json(_shipped("higs_benchmark")))
+    tracemalloc.start()
+    try:
+        trace = integrate(b.system, b.xi0, b.signal, 200.0, b.step)
+        integrate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        trace.to_csv(tmp_path / "trace.csv")
+        csv_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert trace.n_rows >= 20_001
+    assert integrate_peak / trace.n_rows <= 256
+    assert csv_peak / trace.n_rows <= 128
+
+
+def test_convergence_study_drops_each_trace_before_the_next_run(monkeypatch):
+    made = []
+
+    def recording_integrate(*args):
+        assert all(ref() is None for ref in made), "an earlier trace is still alive"
+        trace = integrate(*args)
+        made.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(epds.sim, "integrate", recording_integrate)
+    b = build_runtime(scenario_from_json(_shipped("higs_benchmark")))
+    rep = convergence_study(b.system, b.xi0, b.signal, 2.0, [0.02, 0.01, 0.005])
+    assert len(made) == 3 and all(e["status"] == "ok" for e in rep.entries)
+
+
+def test_sweep_prints_the_report_of_the_kept_traces(monkeypatch, capsys):
+    # ``epds sweep`` on the shipped HIGS loop prints what the study printed
+    # when it kept every trace: entries, orders and terminal deltas are
+    # recomputed here from the traces themselves.
+    from epds.cli import main
+
+    traces = []
+
+    def recording_integrate(*args):
+        traces.append(integrate(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(epds.sim, "integrate", recording_integrate)
+    hs = [1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4]
+    scenario = str(SCENARIOS / "higs_benchmark.json")
+    assert main(["sweep", scenario, "--h-list", ",".join(map(str, hs))]) == 0
+    entries = [{"h": h, "status": "ok", "max_violation": tr.max_violation,
+                "terminal_state": [float(v) for v in tr.xi[-1]]} for h, tr in zip(hs, traces)]
+    pairs = list(zip(zip(hs, traces), zip(hs[1:], traces[1:])))
+    want = {
+        "scenario": "higs_benchmark",
+        "entries": entries,
+        "observed_orders": [
+            float(math.log(t1.max_violation / t2.max_violation) / math.log(h1 / h2))
+            for (h1, t1), (h2, t2) in pairs
+        ],
+        "terminal_deltas": [float(np.linalg.norm(t1.xi[-1] - t2.xi[-1]))
+                            for (_, t1), (_, t2) in pairs],
+    }
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
