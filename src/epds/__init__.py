@@ -23,7 +23,6 @@ from .errors import (
     ZeroOutputRow,
 )
 from .geometry import (
-    ActiveSet,
     ConstraintSet,
     CqReport,
     PolyhedralCone,
@@ -33,13 +32,10 @@ from .geometry import (
     affine_constraint,
     check_cq,
     cone_union,
-    constraint_set_from_json,
-    constraint_set_to_json,
     lifted_tangent_cone,
     quadratic_constraint,
     sector_tangent_cone,
     tangent_cone,
-    user_constraint,
 )
 from .krasovskii import (
     KrasovskiiHull,

@@ -52,7 +52,14 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """a as a read-only float64 array that later writes to the caller's
+    array do not reach: a itself when a and the array it views, if any,
+    are read-only float64 (as ``integrate``'s buffer views are), else a
+    frozen copy."""
+    if (type(a) is np.ndarray and a.dtype is _F64 and not a.flags.writeable
+            and not (isinstance(a.base, np.ndarray) and a.base.flags.writeable)):
+        return a
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -65,16 +72,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarConstraint:
-    """One inequality ``h(x) >= 0`` with its gradient map.
+    """One inequality ``h(x) >= 0`` with its gradient map."""
 
-    ``kind`` is one of ``affine``, ``quadratic`` or ``user``; only the first
-    two are serializable.  ``params`` carries the serializable payload.
-    """
-
-    kind: str
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    params: dict | None = None
 
 
 def affine_constraint(a, b: float) -> ScalarConstraint:
@@ -82,10 +83,8 @@ def affine_constraint(a, b: float) -> ScalarConstraint:
     a = _readonly(np.asarray(a, dtype=float).reshape(-1))
     b = float(b)
     return ScalarConstraint(
-        kind="affine",
         value=lambda x, a=a, b=b: float(a @ x + b),
         gradient=lambda x, a=a: a.copy(),
-        params={"a": a.tolist(), "b": b},
     )
 
 
@@ -98,16 +97,9 @@ def quadratic_constraint(Q, c, d: float) -> ScalarConstraint:
     d = float(d)
     QS = _readonly(Q + Q.T)
     return ScalarConstraint(
-        kind="quadratic",
         value=lambda x, Q=Q, c=c, d=d: float(x @ Q @ x + c @ x + d),
         gradient=lambda x, QS=QS, c=c: QS @ x + c,
-        params={"Q": Q.tolist(), "c": c.tolist(), "d": d},
     )
-
-
-def user_constraint(value, gradient) -> ScalarConstraint:
-    """A code-only constraint from value and gradient callbacks."""
-    return ScalarConstraint(kind="user", value=value, gradient=gradient)
 
 
 @dataclass(frozen=True)
@@ -122,54 +114,25 @@ class ConstraintSet:
             raise ValueError("dim must be positive")
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
-    @property
-    def n_constraints(self) -> int:
-        return len(self.constraints)
-
     def values(self, x) -> np.ndarray:
         x = _as_vector(x, self.dim)
         return np.array([c.value(x) for c in self.constraints], dtype=float)
 
-    def gradients(self, x, indices: Sequence[int] | None = None) -> np.ndarray:
-        """Gradient rows at x (all constraints, or the given indices)."""
+    def gradients(self, x, indices: Sequence[int]) -> np.ndarray:
+        """Gradient rows at x of the constraints with the given indices."""
         x = _as_vector(x, self.dim)
-        idx = range(self.n_constraints) if indices is None else indices
-        rows = [self.constraints[i].gradient(x) for i in idx]
+        rows = [self.constraints[i].gradient(x) for i in indices]
         if not rows:
             return np.zeros((0, self.dim))
         return np.vstack([np.asarray(r, dtype=float).reshape(-1) for r in rows])
 
-    def contains(self, x, tol: float | None = None) -> bool:
+    def contains(self, x) -> bool:
+        """Membership up to EPS_MEM * (1 + |x|) in every constraint."""
         x = _as_vector(x, self.dim)
-        if tol is None:
-            tol = EPS_MEM * (1.0 + float(np.linalg.norm(x)))
-        if self.n_constraints == 0:
+        if not self.constraints:
             return True
+        tol = EPS_MEM * (1.0 + float(np.linalg.norm(x)))
         return bool(np.min(self.values(x)) >= -tol)
-
-
-def constraint_set_to_json(cset: ConstraintSet) -> dict:
-    """Serialize to the documented JSON shape; user constraints are code-only."""
-    out = []
-    for c in cset.constraints:
-        if c.kind not in ("affine", "quadratic") or c.params is None:
-            raise ValueError(f"constraint kind {c.kind!r} is not serializable")
-        out.append({"kind": c.kind, **c.params})
-    return {"dim": cset.dim, "constraints": out}
-
-
-def constraint_set_from_json(doc: dict) -> ConstraintSet:
-    dim = int(doc["dim"])
-    cons = []
-    for entry in doc["constraints"]:
-        kind = entry["kind"]
-        if kind == "affine":
-            cons.append(affine_constraint(entry["a"], entry["b"]))
-        elif kind == "quadratic":
-            cons.append(quadratic_constraint(entry["Q"], entry["c"], entry["d"]))
-        else:
-            raise ValueError(f"unknown constraint kind {kind!r}")
-    return ConstraintSet(dim=dim, constraints=tuple(cons))
 
 
 # ---------------------------------------------------------------------------
@@ -177,37 +140,27 @@ def constraint_set_from_json(doc: dict) -> ConstraintSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """Indices of constraints tight at a point, with the tolerance used."""
-
-    indices: tuple[int, ...]
-    tolerance_used: float
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, i) -> bool:
-        return i in self.indices
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def active_set(cset: ConstraintSet, x, scale: float = EPS_ACT) -> ActiveSet:
-    """Indices i with |h_i(x)| <= scale * (1 + |x|).
+def active_set(cset: ConstraintSet, x) -> tuple[int, ...]:
+    """Indices i with |h_i(x)| <= EPS_ACT * (1 + |x|).
 
     Raises NotInSet when x is not a member of the set.
     """
     x = _as_vector(x, cset.dim)
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
     if not cset.contains(x):
         raise NotInSet(f"point {x.tolist()} violates the constraint set")
-    tol = scale * (1.0 + float(np.linalg.norm(x)))
-    vals = cset.values(x)
-    idx = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= tol))
-    return ActiveSet(indices=idx, tolerance_used=tol)
+    tol = EPS_ACT * (1.0 + float(np.linalg.norm(x)))
+    return tuple(int(i) for i in np.flatnonzero(np.abs(cset.values(x)) <= tol))
+
+
+def _rank(M: np.ndarray) -> int:
+    """Numerical rank of M: its singular values above SV_RTOL * sigma_max.
+
+    A zero matrix has rank 0, and a matrix with more rows than columns
+    never has full row rank.
+    """
+    sv = np.linalg.svd(M, compute_uv=False)
+    smax = float(sv[0]) if sv.size else 0.0
+    return int(np.sum(sv > SV_RTOL * smax)) if smax > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -217,32 +170,58 @@ class CqReport:
     satisfied: bool
     active_indices: tuple[int, ...]
     rank: int
-    singular_values: tuple[float, ...]
-
-    def __bool__(self) -> bool:
-        return self.satisfied
 
 
 def check_cq(cset: ConstraintSet, x) -> CqReport:
-    """Linear independence of active gradients, decided by singular values.
+    """Linear independence of active gradients, decided by ``_rank``.
 
-    Full rank is declared when the number of singular values above
-    ``SV_RTOL * sigma_max`` equals the number of active constraints; a zero
+    It holds when the rank equals the number of active constraints; a zero
     gradient matrix therefore fails for any nonempty active set.
     """
     act = active_set(cset, x)
-    if len(act) == 0:
-        return CqReport(True, act.indices, 0, ())
-    G = cset.gradients(x, act.indices)
-    sv = np.linalg.svd(G, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    rank = int(np.sum(sv > SV_RTOL * smax)) if smax > 0 else 0
-    return CqReport(rank == len(act), act.indices, rank, tuple(float(s) for s in sv))
+    if not act:
+        return CqReport(True, act, 0)
+    rank = _rank(cset.gradients(x, act))
+    return CqReport(rank == len(act), act, rank)
 
 
 # ---------------------------------------------------------------------------
 # polyhedral cones
 # ---------------------------------------------------------------------------
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X, its squares summed column by column.
+
+    A reduction along an axis only 2-4 wide is slow in numpy; a loop over
+    the columns is not.  Up to 7 columns numpy's ``norm(X, axis=1)`` adds
+    the squares in this same order, so the two agree bit for bit; from 8
+    columns numpy sums pairwise, and the last bits may differ there.
+    """
+    acc = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        acc += X[:, j] * X[:, j]
+    return np.sqrt(acc)
+
+
+def _contains_many(
+    T: PolyhedralCone, P: np.ndarray, tol: float = EPS_CONE, pn: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise membership of the points P in T: every row i of each convex
+    part must have slack_i >= -tol (1 + |row_i| |p|).
+
+    The rows' tests are ANDed one at a time, and the point norms ``pn``
+    are computed once and shared by both parts of a union cone.
+    """
+    if pn is None:
+        pn = _row_norms(P)
+    if not T.convex:
+        return _contains_many(T.parts[0], P, tol, pn) | _contains_many(T.parts[1], P, tol, pn)
+    slack = P @ T.rows.T
+    ok = np.ones(P.shape[0], dtype=bool)
+    for i, rn_i in enumerate(_row_norms(T.rows)):
+        ok &= slack[:, i] >= -tol * (1.0 + rn_i * pn)
+    return ok
 
 
 @dataclass(frozen=True)
@@ -293,19 +272,13 @@ class PolyhedralCone:
         return float(np.min(self.rows @ v))
 
     def contains(self, v, tol: float = EPS_CONE) -> bool:
-        """Membership test ``A v >= -tol``, row-scaled.
+        """Membership test ``A v >= -tol``, row-scaled: ``_contains_many``
+        on the single point v.
 
         The tolerance is applied per row as ``tol * (1 + |a_i| * |v|)`` so
         the test is meaningful regardless of gradient scaling.
         """
-        v = _as_vector(v, self.dim)
-        if not self.convex:
-            return any(p.contains(v, tol) for p in self.parts)
-        if self.n_rows == 0:
-            return True
-        slack = self.rows @ v
-        scale = 1.0 + np.linalg.norm(self.rows, axis=1) * float(np.linalg.norm(v))
-        return bool(np.all(slack >= -tol * scale))
+        return bool(_contains_many(self, _as_vector(v, self.dim)[None, :], tol)[0])
 
 
 def cone_union(a: PolyhedralCone, b: PolyhedralCone) -> PolyhedralCone:
@@ -463,11 +436,7 @@ def lifted_tangent_cone(H, low_cone: PolyhedralCone) -> PolyhedralCone:
     In halfspace form the pullback composes each row of the low cone with H.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    if H.shape[0] > H.shape[1]:
-        raise RankDeficient("H has more rows than columns")
-    sv = np.linalg.svd(H, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    rank = int(np.sum(sv > SV_RTOL * smax)) if smax > 0 else 0
+    rank = _rank(H)
     if rank != H.shape[0]:
         raise RankDeficient(f"H has row rank {rank} < {H.shape[0]}")
     if low_cone.dim != H.shape[0]:

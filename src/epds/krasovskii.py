@@ -19,8 +19,9 @@ partial projection: true for regular sets, and false exactly at sector
 corners approached with nonzero e-velocity.  The grid's integer lattice is
 built once per resolution and vertex count, in the smallest unsigned dtype,
 and is evaluated in fixed blocks; no array ever holds the grid's points.
-Row norms and cone rows are taken column by column and row by row, never
-by a numpy reduction over an axis only 2-4 wide.
+Cone membership is ``geometry._contains_many``, the row-scaled kernel
+behind ``PolyhedralCone.contains``; it and ``geometry._row_norms`` never
+reduce over a numpy axis only 2-4 wide.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ import numpy as np
 
 from .errors import CqViolated, Infeasible
 from .geometry import (
-    EPS_CONE,
     PolyhedralCone,
     Sector,
     _as_vector,
+    _contains_many,
     _readonly,
+    _row_norms,
     check_cq,
     sector_tangent_cone,
 )
@@ -213,31 +215,16 @@ class VerificationReport:
     """Result of the hull-versus-projection equality check.
 
     ``holds`` is true when every enumerated hull point inside the tangent
-    cone sits within ``witness_tol`` of the projection; ``witnesses`` lists
-    in-cone combinations that do not (capped for readability, with the full
-    count in ``n_witnesses``).  The check samples a barycentric grid of
-    ``resolution`` rather than intersecting polytopes exactly.
+    cone at ``point`` sits within the witness tolerance of the projection;
+    ``witnesses`` lists in-cone combinations that do not (capped for
+    readability, with the full count in ``n_witnesses``).  The check samples
+    a barycentric grid rather than intersecting polytopes exactly.
     """
 
     holds: bool
     point: np.ndarray
-    field: np.ndarray
-    vertices: np.ndarray
     witnesses: np.ndarray
     n_witnesses: int
-    resolution: float
-    witness_tol: float
-
-    def to_json(self) -> dict:
-        return {
-            "holds": bool(self.holds),
-            "point": [float(v) for v in self.point],
-            "field": [float(v) for v in self.field],
-            "vertices": [[float(v) for v in row] for row in np.atleast_2d(self.vertices)],
-            "witnesses": [[float(v) for v in row] for row in np.atleast_2d(self.witnesses)]
-            if self.n_witnesses
-            else [],
-        }
 
 
 @lru_cache(maxsize=64)
@@ -267,40 +254,6 @@ def _compositions(total: int, k: int) -> np.ndarray:
     out = np.column_stack([parts, left])
     out.flags.writeable = False
     return out
-
-
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of X, its squares summed column by column.
-
-    A reduction along an axis only 2-4 wide is slow in numpy; a loop over
-    the columns is not.  Up to 7 columns numpy's ``norm(X, axis=1)`` adds
-    the squares in this same order, so the two agree bit for bit; from 8
-    columns numpy sums pairwise, and the last bits may differ there.
-    """
-    acc = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        acc += X[:, j] * X[:, j]
-    return np.sqrt(acc)
-
-
-def _contains_many(
-    T: PolyhedralCone, P: np.ndarray, tol: float = EPS_CONE, pn: np.ndarray | None = None
-) -> np.ndarray:
-    """Row-wise membership of the points P in T: every row i of each convex
-    part must have slack_i >= -tol (1 + |row_i| |p|).
-
-    The rows' tests are ANDed one at a time, and the point norms ``pn``
-    are computed once and shared by both parts of a union cone.
-    """
-    if pn is None:
-        pn = _row_norms(P)
-    if not T.convex:
-        return _contains_many(T.parts[0], P, tol, pn) | _contains_many(T.parts[1], P, tol, pn)
-    slack = P @ T.rows.T
-    ok = np.ones(P.shape[0], dtype=bool)
-    for i, rn_i in enumerate(_row_norms(T.rows)):
-        ok &= slack[:, i] >= -tol * (1.0 + rn_i * pn)
-    return ok
 
 
 def verify_equality(
@@ -347,10 +300,6 @@ def verify_equality(
     return VerificationReport(
         holds=n_witnesses == 0,
         point=hull.point,
-        field=hull.field_value,
-        vertices=hull.vertices,
         witnesses=witnesses,
         n_witnesses=n_witnesses,
-        resolution=simplex_resolution,
-        witness_tol=witness_tol,
     )

@@ -120,16 +120,15 @@ def build_closed_loop(plant: Plant, controller: Controller, sector) -> ClosedLoo
     """Assemble H and E and validate the structural invariants.
 
     ``sector`` may be a Sector or a (k1, k2) pair.  Raises ZeroOutputRow
-    when gp vanishes and DegenerateSector when k1 >= k2.
+    when gp is too small for H to keep full row rank and DegenerateSector
+    when k1 >= k2.
     """
     if not isinstance(sector, Sector):
         k1, k2 = sector
         sector = Sector(k1, k2)  # raises DegenerateSector if k1 >= k2
     g = float(np.linalg.norm(plant.gp))
-    if g == 0.0:
-        raise ZeroOutputRow("plant output row gp is zero")
     # H = [gp 0; 0 e1] has orthogonal rows, so its singular values are
-    # |gp| and 1: the rank test needs no SVD.
+    # |gp| and 1: the rank test needs no SVD.  Plant already refuses gp = 0.
     if min(g, 1.0) <= 1e-12 * max(g, 1.0):
         raise ZeroOutputRow("output map H lost full row rank")
     n, m = plant.n, controller.m

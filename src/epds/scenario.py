@@ -221,7 +221,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         if preset_sector is not None and (k1, k2) != (preset_sector.k1, preset_sector.k2):
             raise ScenarioError("sector", "conflicts with the higs preset's sector")
     try:
-        Sector(k1, k2)
+        sector = Sector(k1, k2)
     except DegenerateSector as exc:
         raise ScenarioError("sector", str(exc)) from None
 
@@ -252,8 +252,8 @@ def scenario_from_json(doc: dict) -> Scenario:
 
     # Membership of the initial state in the lifted set.
     try:
-        sys = build_closed_loop(plant, controller, Sector(k1, k2))
-    except (ZeroOutputRow, DegenerateSector) as exc:
+        sys = build_closed_loop(plant, controller, sector)
+    except ZeroOutputRow as exc:
         raise ScenarioError("plant.gp", str(exc)) from None
     if not sys.in_set(xi0):
         eu = sys.output_pair(xi0)

@@ -224,7 +224,7 @@ def reference_sector_krasovskii_vertices(sec, s, w):
 
 
 def reference_contains_many(T, P, tol=EPS_CONE):
-    """Membership of the points P in T as ``krasovskii._contains_many``
+    """Membership of the points P in T as ``geometry._contains_many``
     tested it before its column-wise kernel: one scale matrix and one
     ``np.all`` over the rows of each convex part, with ``np.linalg.norm``
     for every norm."""

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,21 +10,19 @@ from epds import (
     NotInSet,
     PolyhedralCone,
     RankDeficient,
+    ScalarConstraint,
     Sector,
     active_set,
     affine_constraint,
     check_cq,
-    constraint_set_from_json,
-    constraint_set_to_json,
     lifted_tangent_cone,
     oracle_tangent_membership,
     quadratic_constraint,
     sector_tangent_cone,
     tangent_cone,
-    user_constraint,
 )
-from epds.geometry import EPS_MEM, _as_vector
-from conftest import orthant, unit_disk
+from epds.geometry import EPS_ACT, EPS_CONE, EPS_MEM, _as_vector
+from conftest import orthant, reference_contains_many, unit_disk
 
 
 def central_difference(h, x, eps=1e-6):
@@ -55,20 +51,22 @@ def test_gradients_match_finite_differences(rng):
 
 def test_membership_and_active_set_examples():
     s = orthant()
-    assert active_set(s, (0.0, 2.0)).indices == (0,)
-    assert active_set(s, (1.0, 1.0)).indices == ()
-    assert active_set(s, (0.0, 0.0)).indices == (0, 1)
+    assert active_set(s, (0.0, 2.0)) == (0,)
+    assert active_set(s, (1.0, 1.0)) == ()
+    assert active_set(s, (0.0, 0.0)) == (0, 1)
     with pytest.raises(NotInSet):
         active_set(s, (-1.0, 0.0))
 
 
 def test_active_set_tolerance_scales_with_point():
+    # Activation within EPS_ACT (1 + |x|) at large coordinates: a point at
+    # half that tolerance from the line x1 = 0 is active there, one at twice
+    # it is not.
     s = orthant()
     big = 1e6
-    # activation within the relative tolerance at large coordinates
-    act = active_set(s, (big * 1e-9 * 0.5, big))
-    assert 0 in act
-    assert act.tolerance_used == pytest.approx(1e-9 * (1 + np.hypot(big * 1e-9 * 0.5, big)))
+    tol = EPS_ACT * (1.0 + big)
+    assert active_set(s, (0.5 * tol, big)) == (0,)
+    assert active_set(s, (2.0 * tol, big)) == ()
 
 
 def test_check_cq_cases():
@@ -102,6 +100,15 @@ def test_tangent_cone_disk_boundary():
     c = tangent_cone(unit_disk(), (1.0, 0.0))
     assert np.allclose(c.rows, [[-2.0, 0.0]])
     assert c.contains((-1.0, 4.0)) and not c.contains((0.1, 0.0))
+
+
+def test_user_constraint_from_callbacks():
+    # A code-only constraint is ScalarConstraint(value, gradient): the unit
+    # disk given by callbacks has the quadratic form's active set and cone.
+    disk = ConstraintSet(2, (ScalarConstraint(lambda x: 1.0 - float(x @ x), lambda x: -2.0 * x),))
+    x = (np.cos(0.4), np.sin(0.4))
+    assert active_set(disk, x) == active_set(unit_disk(), x) == (0,)
+    assert tangent_cone(disk, x).rows.tolist() == tangent_cone(unit_disk(), x).rows.tolist()
 
 
 def test_tangent_cone_requires_cq():
@@ -196,6 +203,37 @@ def test_sector_tangent_cone_cases():
         sector_tangent_cone(sec, (0.0, 1.0))
 
 
+def test_cone_contains_matches_reference_at_twice_the_tolerance():
+    # Single points on a row's plane, moved two row tolerances to either
+    # side of it: PolyhedralCone.contains must decide as the reference
+    # membership test on union, convex and full-space cones, and the
+    # tolerance must decide both ways.
+    rng = np.random.default_rng(5)
+    sec = Sector(-0.5, 0.8)
+    cones = [
+        sector_tangent_cone(sec, (0.0, 0.0)),
+        sector_tangent_cone(sec, (1.0, 0.8)),
+        tangent_cone(orthant(3), np.zeros(3)),
+        PolyhedralCone.full_space(3),
+    ]
+    verdicts = set()
+    for T in cones:
+        rows = [row for part in T.parts or (T,) for row in part.rows]
+        for row in rows or [rng.standard_normal(T.dim)]:
+            for _ in range(50):
+                q = rng.standard_normal(T.dim) * 10.0 ** rng.uniform(-2, 2)
+                on = q - (q @ row) / (row @ row) * row
+                push = EPS_CONE * (1.0 + np.linalg.norm(row) * np.linalg.norm(on))
+                for c in (-2.0, 2.0):
+                    v = on + c * push / (row @ row) * row
+                    got = T.contains(v)
+                    assert got == bool(reference_contains_many(T, v[None, :])[0])
+                    verdicts.add((T.n_rows == 1, c, got))
+    # On the one-row cone the sign of the push alone decides.
+    assert (True, -2.0, False) in verdicts and (True, 2.0, True) in verdicts
+    assert (True, -2.0, True) not in verdicts and (True, 2.0, False) not in verdicts
+
+
 def test_lifted_tangent_cone_examples():
     low = PolyhedralCone(dim=2, rows=np.array([[0.0, 1.0]]))
     same = lifted_tangent_cone(np.eye(2), low)
@@ -207,8 +245,14 @@ def test_lifted_tangent_cone_examples():
     # sum functional
     lifted2 = lifted_tangent_cone(np.array([[1.0, 1.0]]), PolyhedralCone(dim=1, rows=np.array([[1.0]])))
     assert lifted2.contains((2.0, -1.0)) and not lifted2.contains((-2.0, 1.0))
+    # rank 1 in a 2x2 H, and more rows than columns
     with pytest.raises(RankDeficient):
         lifted_tangent_cone(np.array([[1.0, 0.0], [2.0, 0.0]]), low)
+    with pytest.raises(RankDeficient):
+        lifted_tangent_cone(
+            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            PolyhedralCone(dim=3, rows=np.array([[0.0, 0.0, 1.0]])),
+        )
 
 
 def test_lifted_cone_membership_matches_low_cone(rng):
@@ -252,31 +296,6 @@ def test_lifted_cone_matches_sequential_oracle(rng):
         assert lifted.contains(v) == oracle_tangent_membership(
             lifted_set, np.zeros(n_c), v
         )
-
-
-def test_constraint_set_json_round_trip(rng):
-    cset = ConstraintSet(
-        2,
-        (
-            affine_constraint([1.0, -2.0], 0.5),
-            quadratic_constraint([[1.0, 0.0], [0.0, -1.0]], [0.0, 1.0], 2.0),
-        ),
-    )
-    doc = constraint_set_to_json(cset)
-    json.dumps(doc)  # serializable
-    back = constraint_set_from_json(doc)
-    for _ in range(10):
-        x = rng.standard_normal(2)
-        assert np.allclose(back.values(x), cset.values(x))
-        assert np.allclose(back.gradients(x), cset.gradients(x))
-
-
-def test_user_constraints_not_serializable():
-    cset = ConstraintSet(
-        1, (user_constraint(lambda x: float(x[0]), lambda x: np.array([1.0])),)
-    )
-    with pytest.raises(ValueError):
-        constraint_set_to_json(cset)
 
 
 def test_as_vector_converts_other_inputs_and_passes_float64_vectors_through():

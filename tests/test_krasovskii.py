@@ -28,8 +28,8 @@ from epds import (
 )
 import epds.krasovskii
 import epds.verify
-from epds.geometry import EPS_CONE
-from epds.krasovskii import DEDUP_TOL, _compositions, _contains_many, _row_norms
+from epds.geometry import EPS_CONE, _contains_many, _row_norms
+from epds.krasovskii import DEDUP_TOL, _compositions
 from epds.projection import sector_subspace
 from conftest import (
     corner_cones,
@@ -263,6 +263,7 @@ def test_counterexample_at_sector_corner():
     T = sector_tangent_cone(sec, (0.0, 0.0))
     rep = verify_equality(hull, T, pi, 0.02)
     assert not rep.holds
+    assert rep.point.tolist() == [0.0, 0.0]
     assert rep.n_witnesses > 0
     saw = {tuple(np.round(v, 6)) for v in rep.witnesses}
     assert (1.0, 0.0) in saw
@@ -329,20 +330,6 @@ def test_grid_guard_rejects_oversized_hulls_before_building(monkeypatch):
     monkeypatch.setattr(epds.krasovskii, "_compositions", no_grid)
     with pytest.raises(ValueError, match="grid points"):
         verify_equality(six, cone, pi, 0.01)
-
-
-def test_report_json_shape():
-    sec = Sector(0.0, 1.0)
-    w = np.array([1.0, 2.0])
-    hull = sector_krasovskii_vertices(sec, (0.0, 0.0), w)
-    pi = sector_project(sec, (0.0, 0.0), w)
-    rep = verify_equality(hull, sector_tangent_cone(sec, (0.0, 0.0)), pi, 0.02)
-    doc = rep.to_json()
-    assert set(doc) == {"holds", "point", "field", "vertices", "witnesses"}
-    json.dumps(doc)
-    assert doc["holds"] is False
-    assert doc["point"] == [0.0, 0.0]
-    assert len(doc["witnesses"]) > 0
 
 
 @lru_cache(maxsize=None)

@@ -67,6 +67,7 @@ def test_defaults_are_normalized():
         (lambda d: d["plant"].update(kind="warp_drive"), "plant.kind"),
         (lambda d: d["plant"].update(gp=[0.0, 0.0]), "plant.gp"),
         (lambda d: d["plant"].update(gp=[1.0]), "plant.gp"),
+        (lambda d: d["plant"].update(gp=[1e-13, 0.0]), "plant.gp"),
         (lambda d: d.update(sector={"k1": 1.0, "k2": 1.0}), "sector"),
         (lambda d: d.update(initial_state=[0.0, 0.0, 0.7]), "initial_state"),
         (lambda d: d.update(initial_state=[0.0, 0.0]), "initial_state"),

@@ -38,6 +38,7 @@ from epds.sim import (
     RampSegment,
     SinusoidSegment,
     Trace,
+    _step_schedule,
 )
 from conftest import euler_time_embedded, make_higs_benchmark, reference_integrate, reference_to_csv
 
@@ -114,6 +115,30 @@ def test_tracking_benchmark_closed_form():
     assert tr.branch[0] == "corner"
     assert all(b == "K" for b in tr.branch[1:])
     assert np.all(tr.e[1:] >= 1.0 * tr.t[1:] - 2 * 0.01)  # e grows at its rate
+
+
+@pytest.mark.parametrize(
+    "breakpoints, T, h, n_steps, last",
+    [
+        ((0.0,), 200.0, 0.01, 20_000, 0.01),
+        ((0.0, 100.0), 200.0, 0.01, 20_000, 0.01),
+        ((0.0,), 1000.0, 0.01, 100_000, 0.01),
+        ((0.0,), 1.007, 0.005, 202, 0.002),
+    ],
+)
+def test_step_schedule_takes_one_step_per_h(breakpoints, T, h, n_steps, last):
+    # t drifts from k h under repeated addition of h; a segment of n h still
+    # takes n steps, with no sliver step after them, and a segment that is
+    # not a multiple of h keeps its short last step.
+    signal = InputSignal.steps(breakpoints, [0.0] * len(breakpoints))
+    count, longest, final = 0, 0.0, None
+    for step in _step_schedule(signal, T, h):
+        count += 1
+        longest = max(longest, step[1])
+        final = step
+    assert count == n_steps
+    assert longest <= h * (1.0 + 1e-6)
+    assert final[1] == pytest.approx(last, rel=1e-6) and final[2] == T
 
 
 def test_initial_state_validation(higs_system):
@@ -432,10 +457,11 @@ def test_block_writer_matches_reference_csv(make, tmp_path):
 
 
 def test_integrate_and_to_csv_memory_per_row(tmp_path):
-    # Peak Python-heap bytes per row over the 20,002 rows of higs_benchmark
-    # at T = 200.  The loop fills flat buffers and the writer holds one block
-    # at a time, so both stay far below the per-row tuples (625 B/row) and
-    # whole-file strings (952 B/row) they replaced.
+    # Peak Python-heap bytes per row over the 20,001 rows of higs_benchmark
+    # at T = 200.  The loop fills flat buffers that the trace keeps without
+    # a copy, and the writer holds one block at a time, so both stay far
+    # below the per-row tuples (625 B/row) and whole-file strings
+    # (952 B/row) they replaced.
     b = build_runtime(scenario_from_json(_shipped("higs_benchmark")))
     tracemalloc.start()
     try:
@@ -447,9 +473,34 @@ def test_integrate_and_to_csv_memory_per_row(tmp_path):
         csv_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert trace.n_rows >= 20_001
-    assert integrate_peak / trace.n_rows <= 256
+    assert trace.n_rows == 20_001
+    assert integrate_peak / trace.n_rows <= 150
     assert csv_peak / trace.n_rows <= 128
+
+
+def test_trace_keeps_frozen_buffers_and_copies_callers_arrays():
+    # integrate's columns are read-only views of its one row buffer, kept
+    # without a copy.  Arrays a caller can still write, directly or through
+    # the array a read-only view was taken from, are copied.
+    trace = integrate(tracking_system(), np.zeros(2), InputSignal.constant(0.0), T=0.1, h=0.01)
+    buffer = trace.t.base
+    assert buffer is not None
+    assert all(getattr(trace, name).base is buffer for name in TRACE_ARRAYS[:-1])
+
+    n = 4
+    owned = {name: np.arange(n, dtype=float) + k for k, name in enumerate(TRACE_ARRAYS[:-1])}
+    owned["xi"] = np.arange(2.0 * n).reshape(n, 2)
+    owned["drift_corrected"] = np.array([0, 1, 0, 1], dtype=bool)
+    args = dict(owned)
+    args["t"] = owned["t"].view()
+    args["t"].flags.writeable = False
+    trace = Trace(**args, branch=("K",) * n, h=1.0)
+    before = {name: getattr(trace, name).copy() for name in TRACE_ARRAYS}
+    for a in owned.values():
+        a[...] = ~a if a.dtype == bool else -7.0
+    for name in TRACE_ARRAYS:
+        assert np.array_equal(getattr(trace, name), before[name]), name
+        assert not getattr(trace, name).flags.writeable
 
 
 def test_convergence_study_drops_each_trace_before_the_next_run(monkeypatch):
